@@ -95,7 +95,7 @@ def _train_config(args) -> tr.TrainConfig:
         if value is not None:
             overrides[field] = value
     if args.no_dap:
-        overrides["dap_enabled"] = False
+        overrides["alpha"] = 0.0
     if args.pseudo_acc_diagnostic:
         overrides["pseudo_acc_diagnostic"] = True
     return replace(config, **overrides)
@@ -105,22 +105,14 @@ def cmd_gen(args) -> int:
     started = time.perf_counter()
     source_spec, target_spec = dg.preset_specs(args.preset, args.seed)
     out = Path(args.out)
-    manifest = dg.make_benchmark(source_spec, target_spec, args.n_source,
-                                 args.n_target, args.n_test, out,
-                                 height=args.size, width=args.size)
-    bundle = DatasetBundle(out)
-    lines = [
-        "command=gen",
-        f"preset={args.preset}",
-        f"seed={args.seed}",
-        f"dataset_checksum={bundle.dataset_checksum()}",
-        f"wallclock.generate={time.perf_counter() - started:.3f}",
-        f"artifact.{manifest.name}=present",
-    ]
-    lines += [f"artifact.{p.relative_to(out)}=present"
-              for p in sorted(out.rglob("*"))
-              if p.is_file() and p.name not in (manifest.name, "run_manifest.txt")]
-    (out / "run_manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dg.make_benchmark(source_spec, target_spec, args.n_source, args.n_target,
+                      args.n_test, out, height=args.size, width=args.size)
+    dg.write_run_manifest(out, "gen", {
+        "preset": args.preset,
+        "seed": args.seed,
+        "dataset_checksum": DatasetBundle(out).dataset_checksum(),
+        "wallclock.generate": f"{time.perf_counter() - started:.3f}",
+    })
     print(f"benchmark written to {out} "
           f"({args.n_source}+{args.n_target}+{args.n_test} scenes)")
     return EXIT_OK
@@ -152,17 +144,13 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_metrics_csv(metrics, out / "metrics.csv")
     analysis.write_confusion_csv(metrics.confusion, out / "confusion.csv")
-    lines = [
-        "command=eval",
-        f"checkpoint={args.ckpt}",
-        f"split={args.split}",
-        f"dataset_checksum={bundle.dataset_checksum()}",
-        f"miou={metrics.miou!r}",
-        f"wallclock.eval={time.perf_counter() - started:.3f}",
-        "artifact.metrics.csv=present",
-        "artifact.confusion.csv=present",
-    ]
-    (out / "run_manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dg.write_run_manifest(out, "eval", {
+        "checkpoint": args.ckpt,
+        "split": args.split,
+        "dataset_checksum": bundle.dataset_checksum(),
+        "miou": repr(metrics.miou),
+        "wallclock.eval": f"{time.perf_counter() - started:.3f}",
+    })
     print(f"mIOU {metrics.miou:.4f} over {len(items)} images")
     return EXIT_OK
 
@@ -172,16 +160,15 @@ def cmd_eval(args) -> int:
 
 
 def _cell_done(cell_dir: Path, config: tr.TrainConfig) -> bool:
-    manifest = cell_dir / "run_manifest.txt"
+    manifest = cell_dir / dg.RUN_MANIFEST_NAME
     config_file = cell_dir / "config.txt"
     return (manifest.exists() and config_file.exists()
             and config_file.read_text() == tr.config_to_text(config)
-            and any(line.startswith("final_miou=")
-                    for line in manifest.read_text().splitlines()))
+            and "final_miou" in dg.parse_manifest(manifest))
 
 
 def _cell_result(cell_dir: Path) -> dict:
-    entries = dg.parse_manifest(cell_dir / "run_manifest.txt")
+    entries = dg.parse_manifest(cell_dir / dg.RUN_MANIFEST_NAME)
     return {"final_miou": float(entries["final_miou"]),
             "best_miou": float(entries["best_miou"])}
 
@@ -270,20 +257,16 @@ def cmd_sweep(args) -> int:
             std = float(np.std(scores)) if scores else float("nan")
             f.write(f"{value},{mean!r},{std!r},{len(scores)},{failed}\n")
 
-    lines = [
-        "command=sweep",
-        f"axis={label}",
-        f"values={','.join(str(v) for v in values)}",
-        f"seeds={args.seeds}",
-        f"dataset_checksum={bundle.dataset_checksum()}",
-        f"workers={workers}",
-        f"n_cells={len(jobs)}",
-        f"n_failed={failed_total}",
-        f"wallclock.sweep={time.perf_counter() - started:.3f}",
-        "artifact.sweep_table.csv=present",
-        "artifact.sweep_cells.csv=present",
-    ]
-    (out / "run_manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dg.write_run_manifest(out, "sweep", {
+        "axis": label,
+        "values": ",".join(str(v) for v in values),
+        "seeds": args.seeds,
+        "dataset_checksum": bundle.dataset_checksum(),
+        "workers": workers,
+        "n_cells": len(jobs),
+        "n_failed": failed_total,
+        "wallclock.sweep": f"{time.perf_counter() - started:.3f}",
+    })
     print(f"sweep finished: {len(jobs)} cells, {failed_total} failed; "
           f"table at {table_path}")
     return EXIT_OK

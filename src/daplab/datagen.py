@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import InputError
 ROAD, SIDEWALK, SKY, BUILDING, BIKE, MOTORBIKE = range(NUM_CLASSES)
 
 MANIFEST_NAME = "manifest.txt"
+RUN_MANIFEST_NAME = "run_manifest.txt"
 _SPLITS = ("source", "target_train", "target_test")
 
 
@@ -58,18 +58,6 @@ class DomainSpec:
 class LabeledImage:
     image: np.ndarray   # [3,H,W] float64 in [0,1]
     labels: np.ndarray  # [H,W] uint8, values < NUM_CLASSES or IGNORE_ID
-
-
-@dataclass
-class UnlabeledImage:
-    """Target-domain sample: the trainer sees `image` only; hidden labels
-    are loaded on demand through the evaluation-only accessor."""
-
-    image: np.ndarray
-    _hidden_loader: Callable[[], np.ndarray]
-
-    def hidden_labels(self) -> np.ndarray:
-        return self._hidden_loader()
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +334,19 @@ def parse_manifest(path) -> dict:
     return entries
 
 
+def write_run_manifest(out_dir, command: str, fields: dict) -> None:
+    """Write out_dir/run_manifest.txt in the key=value format parse_manifest
+    reads: `command=<command>`, then `fields` in order, then
+    `artifact.<relpath>=present` for every file under out_dir except the
+    manifest itself."""
+    out = Path(out_dir)
+    path = out / RUN_MANIFEST_NAME
+    lines = [f"command={command}"] + [f"{key}={value}" for key, value in fields.items()]
+    lines += [f"artifact.{p.relative_to(out)}=present"
+              for p in sorted(out.rglob("*")) if p.is_file() and p != path]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def specs_from_manifest(entries: dict):
     return _spec_from_entries(entries, "source"), _spec_from_entries(entries, "target")
 
@@ -374,11 +375,15 @@ class DatasetBundle:
         if not manifest.exists():
             raise InputError(f"no {MANIFEST_NAME} under {self.root}")
         self.entries = parse_manifest(manifest)
-        self.n_source = int(self.entries["n_source"])
-        self.n_target = int(self.entries["n_target"])
-        self.n_test = int(self.entries["n_test"])
-        self.height = int(self.entries["height"])
-        self.width = int(self.entries["width"])
+        try:
+            self.n_source, self.n_target, self.n_test, self.height, self.width = (
+                int(self.entries[key])
+                for key in ("n_source", "n_target", "n_test", "height", "width"))
+            self.dataset_checksum()
+        except KeyError as missing:
+            raise InputError(f"{manifest}: missing key {missing.args[0]!r}") from None
+        except ValueError as bad:
+            raise InputError(f"{manifest}: {bad}") from None
         self._cache: dict = {}
 
     def dataset_checksum(self) -> str:
@@ -401,10 +406,6 @@ class DatasetBundle:
     def target_hidden_labels(self, i: int) -> np.ndarray:
         """Evaluation-only accessor for sealed target-train labels."""
         return read_pgm(self.root / "target_train" / "hidden" / f"lab_{i:03d}.pgm")
-
-    def target(self, i: int) -> UnlabeledImage:
-        return UnlabeledImage(self.target_image(i),
-                              lambda: self.target_hidden_labels(i))
 
     def test(self, i: int) -> LabeledImage:
         return self._cached(("test", i), lambda: LabeledImage(
@@ -443,8 +444,3 @@ def preset_specs(name: str, seed: int):
     else:
         raise InputError(f"unknown preset {name!r}")
     return source, target
-
-
-def load_external_dataset(name: str):
-    """Real-dataset loading is out of scope for this lab."""
-    raise InputError(f"unsupported dataset: {name}")

@@ -5,6 +5,7 @@ space."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,6 +129,19 @@ def ema_update(teacher: ModelState, student: ModelState, decay: float) -> None:
 # (u32 name length, name bytes, u32 rank, u32 dims..., float64 payload)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary sibling `.<name>.tmp`, then rename it over
+    `path`: readers see the old file or the new one, never a partial write,
+    and the temporary name matches no checkpoint glob."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, arrays: dict) -> None:
     blob = bytearray(CHECKPOINT_MAGIC)
     for name, arr in arrays.items():
@@ -138,28 +152,34 @@ def save_checkpoint(path, arrays: dict) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def load_checkpoint(path) -> dict:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as failure:
+        raise InputError(f"{path}: cannot read checkpoint ({failure.strerror})") from None
     if blob[:8] != CHECKPOINT_MAGIC:
         raise InputError(f"{path}: not a checkpoint file")
     arrays = {}
     offset = 8
-    while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        arrays[name] = arr.reshape(dims).astype(np.float64)
+    try:
+        while offset < len(blob):
+            (name_len,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            name = blob[offset:offset + name_len].decode("utf-8")
+            offset += name_len
+            (rank,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            dims = struct.unpack_from(f"<{rank}I", blob, offset)
+            offset += 4 * rank
+            count = int(np.prod(dims)) if rank else 1
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+            offset += count * 8
+            arrays[name] = arr.reshape(dims).astype(np.float64)
+    except (struct.error, ValueError):
+        raise InputError(f"{path}: truncated or corrupt checkpoint") from None
     return arrays
 
 

@@ -81,39 +81,6 @@ class OpRecord:
         self.backward_fn = backward_fn
 
 
-class Graph:
-    """Operation records in topological order: every record's inputs are
-    produced by records earlier in the list, so a single reverse sweep
-    propagates gradients correctly."""
-
-    def __init__(self, nodes: list):
-        self.nodes = nodes
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "Graph":
-        """Collect the records reachable from `root` in topological order."""
-        nodes: list[OpRecord] = []
-        if root.op is None:
-            return cls(nodes)
-        seen = {id(root.op)}
-        stack = [(root.op, iter(root.op.inputs))]
-        while stack:
-            record, pending = stack[-1]
-            child = None
-            for tensor_in in pending:
-                producer = tensor_in.op
-                if producer is not None and id(producer) not in seen:
-                    child = producer
-                    break
-            if child is None:
-                nodes.append(record)
-                stack.pop()
-            else:
-                seen.add(id(child))
-                stack.append((child, iter(child.inputs)))
-        return cls(nodes)
-
-
 def _emit(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
           backward_fn) -> Tensor:
     """Wrap an op result, attaching a record when gradients are live."""
@@ -133,10 +100,30 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward() root must be scalar, got shape {list(loss.shape)}")
-    graph = Graph.from_root(loss)
+    # records reachable from the root in topological order: each record
+    # comes after every record producing one of its inputs
+    nodes: list[OpRecord] = []
+    if loss.op is not None:
+        seen = {id(loss.op)}
+        stack = [(loss.op, iter(loss.op.inputs))]
+        while stack:
+            record, pending = stack[-1]
+            child = None
+            for tensor_in in pending:
+                producer = tensor_in.op
+                if producer is not None and id(producer) not in seen:
+                    child = producer
+                    break
+            if child is None:
+                nodes.append(record)
+                stack.pop()
+            else:
+                seen.add(id(child))
+                stack.append((child, iter(child.inputs)))
+
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for record in reversed(graph.nodes):
+    for record in reversed(nodes):
         upstream = flowing.pop(id(record.output), None)
         if upstream is None:
             continue

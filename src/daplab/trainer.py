@@ -9,12 +9,12 @@ import json
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .classes import NUM_CLASSES
-from .datagen import DatasetBundle
+from .datagen import DatasetBundle, write_run_manifest
 from .errors import InputError, NumericError
 from . import analysis
 from . import mixing
@@ -42,7 +42,6 @@ class TrainConfig:
     prior_dim: int = 300              # used by random priors
     interp: str = "bilinear"          # bilinear | nearest
     seed: int = 0
-    dap_enabled: bool = True
     jitter_strength: float = 0.2
     blur_sigma: float = 0.5
     checkpoint_every: int = 500
@@ -86,7 +85,8 @@ def config_to_text(config: TrainConfig) -> str:
 
 def parse_config(path) -> TrainConfig:
     """Plain-text key = value config, one per line, # comments."""
-    overrides = {}
+    known = {f.name for f in fields(TrainConfig)}
+    kwargs = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,14 +94,13 @@ def parse_config(path) -> TrainConfig:
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        overrides[_CONFIG_FIELD_FOR_KEY.get(key, key)] = value
-
-    known = {f.name: f for f in fields(TrainConfig)}
-    kwargs = {}
-    for name, text in overrides.items():
+        name = _CONFIG_FIELD_FOR_KEY.get(key, key)
         if name not in known:
             raise InputError(f"{path}: unknown config key {name!r}")
-        kwargs[name] = _coerce(name, text)
+        try:
+            kwargs[name] = _coerce(name, value)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return TrainConfig(**kwargs)
 
 
@@ -112,7 +111,7 @@ def _coerce(name: str, text: str):
         return int(text)
     if name in ("prior", "vector_file", "interp"):
         return text
-    if name in ("dap_enabled", "pseudo_acc_diagnostic"):
+    if name == "pseudo_acc_diagnostic":
         lowered = text.lower()
         if lowered in ("true", "1", "yes"):
             return True
@@ -132,28 +131,27 @@ def pseudo_label(teacher: md.ModelState, target_image: np.ndarray) -> np.ndarray
     return analysis.predict_labels(teacher, target_image)
 
 
-def dap_loss(student: md.ModelState, image: np.ndarray, labels_for_prior: np.ndarray,
-             embeddings: EmbeddingSet, interp: str = "bilinear") -> Tensor:
-    """Distance between projected visual features and the projected
-    embedding map built from `labels_for_prior`. Gradients reach the
-    backbone and both projectors; the embedding vectors stay frozen."""
-    out = md.forward(student, Tensor(image[None] if image.ndim == 3 else image))
-    fh, fw = out.features.data.shape[2:]
-    emb = downsample_embedding(proj(labels_for_prior, embeddings), fh, fw, interp)
-    return tc.sum_squared_error(out.projected_features,
-                                md.project_prior(student, emb))
+def dap_term(student: md.ModelState, projected: Tensor, labels: np.ndarray,
+             embeddings: EmbeddingSet, interp: str) -> Tensor:
+    """Distance between one image's projected visual features [1,P,h,w] and
+    the projected embedding map built from `labels`, down-sampled to the
+    features' h x w. Gradients reach the backbone and both projectors; the
+    embedding vectors stay frozen."""
+    fh, fw = projected.shape[2:]
+    emb = downsample_embedding(proj(labels, embeddings), fh, fw, interp)
+    return tc.sum_squared_error(projected, md.project_prior(student, emb))
 
 
-def train_supervised(items, steps: int, seed: int, lr: float = 0.02,
-                     momentum: float = 0.9, weight_decay: float = 5e-4,
-                     head_lr_multiplier: float = 10.0,
-                     lr_power: float = 0.9) -> md.ModelState:
+SUPERVISED_LR = 0.02
+
+
+def train_supervised(items, steps: int, seed: int) -> md.ModelState:
     """Plain cross-entropy training on a labeled split; used for oracle and
-    source-only control models."""
+    source-only control models. Fixed recipe: base lr 0.02 with a 10x head
+    rate, momentum 0.9, weight decay 5e-4, polynomial decay power 0.9."""
     state = md.init_student(seed)
-    optimizer = tc.SGD(state.params, lr=lr, momentum=momentum,
-                       weight_decay=weight_decay,
-                       lr_multipliers={"head.": head_lr_multiplier})
+    optimizer = tc.SGD(state.params, lr=SUPERVISED_LR, momentum=0.9,
+                       weight_decay=5e-4, lr_multipliers={"head.": 10.0})
     order = np.random.default_rng(seed)
     for step in range(steps):
         item = items[int(order.integers(len(items)))]
@@ -161,7 +159,7 @@ def train_supervised(items, steps: int, seed: int, lr: float = 0.02,
         out = md.forward(state, Tensor(item.image[None]))
         loss = tc.softmax_cross_entropy(out.logits, item.labels[None])
         tc.backward(loss)
-        optimizer.step(tc.polynomial_lr(lr, step, steps, lr_power))
+        optimizer.step(tc.polynomial_lr(SUPERVISED_LR, step, steps, 0.9))
     return state
 
 
@@ -175,11 +173,9 @@ class Trainer:
     separate so toggling the prior loss cannot desynchronize a baseline
     comparison."""
 
-    def __init__(self, config: TrainConfig, bundle: DatasetBundle,
-                 pseudo_label_scorer: Optional[Callable] = None):
+    def __init__(self, config: TrainConfig, bundle: DatasetBundle):
         self.config = config
         self.bundle = bundle
-        self.scorer = pseudo_label_scorer
 
         self.embeddings = make_embeddings(
             config.prior, NUM_CLASSES, dim=config.prior_dim,
@@ -214,13 +210,6 @@ class Trainer:
         return [self.bundle.source(i)
                 for i in range(self.n_train_source, self.bundle.n_source)]
 
-    def _dap_term(self, projected: Tensor, labels: np.ndarray) -> Tensor:
-        fh = self.bundle.height // 4
-        fw = self.bundle.width // 4
-        emb = downsample_embedding(proj(labels, self.embeddings), fh, fw,
-                                   self.config.interp)
-        return tc.sum_squared_error(projected, md.project_prior(self.student, emb))
-
     # -- one optimization step -------------------------------------------------
 
     def train_step(self) -> StepRecord:
@@ -244,11 +233,12 @@ class Trainer:
             tc.softmax_cross_entropy(tc.take_batch(out.logits, 0), source.labels[None]),
             tc.softmax_cross_entropy(tc.take_batch(out.logits, 1), mixed.labels[None]))
 
-        use_dap = cfg.dap_enabled and cfg.alpha > 0.0
-        if use_dap:
+        if cfg.alpha > 0.0:
             loss_dap = tc.add(
-                self._dap_term(tc.take_batch(out.projected_features, 0), source.labels),
-                self._dap_term(tc.take_batch(out.projected_features, 1), mixed.labels))
+                dap_term(self.student, tc.take_batch(out.projected_features, 0),
+                         source.labels, self.embeddings, cfg.interp),
+                dap_term(self.student, tc.take_batch(out.projected_features, 1),
+                         mixed.labels, self.embeddings, cfg.interp))
             loss_overall = tc.add(loss_seg, tc.scale(loss_dap, cfg.alpha))
         else:
             loss_dap = None
@@ -264,8 +254,9 @@ class Trainer:
         md.ema_update(self.teacher, self.student, cfg.ema_lambda)
 
         pseudo_acc = float("nan")
-        if self.scorer is not None:
-            pseudo_acc = float(self.scorer(step, target_index, pseudo))
+        if cfg.pseudo_acc_diagnostic:
+            hidden = self.bundle.target_hidden_labels(target_index)
+            pseudo_acc = float((pseudo == hidden).mean())
 
         self.step_index += 1
         return StepRecord(step, loss_seg.item(),
@@ -289,7 +280,7 @@ class Trainer:
             "subset": self.subset_rng.bit_generator.state,
             "augment": self.augment_rng.bit_generator.state,
         }
-        Path(rng_path).write_text(json.dumps(states), encoding="utf-8")
+        md.write_atomic(rng_path, json.dumps(states).encode("utf-8"))
 
     def load_train_state(self, ckpt_path, rng_path) -> None:
         arrays = md.load_checkpoint(ckpt_path)
@@ -330,11 +321,11 @@ def _latest_state(checkpoint_dir: Path):
 
 
 def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
-        resume: bool = False,
-        pseudo_label_scorer: Optional[Callable] = None) -> RunResult:
+        resume: bool = False) -> RunResult:
     """Train for config.steps, checkpointing every checkpoint_every steps,
     then evaluate the final and best-on-heldout students on the target test
     split. All artifacts land under out_dir and are listed in its manifest."""
+    t_setup = time.perf_counter()
     out = Path(out_dir)
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)
@@ -345,13 +336,7 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
         raise InputError("resume rejected: config differs from the checkpointed run")
     config_path.write_text(snapshot, encoding="utf-8")
 
-    scorer = pseudo_label_scorer
-    if scorer is None and config.pseudo_acc_diagnostic:
-        def scorer(step, target_index, pseudo):
-            hidden = bundle.target_hidden_labels(target_index)
-            return float((pseudo == hidden).mean())
-
-    trainer = Trainer(config, bundle, pseudo_label_scorer=scorer)
+    trainer = Trainer(config, bundle)
     heldout = trainer.heldout_items()
 
     best_path = out / "best.ckpt"
@@ -359,7 +344,6 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
     metrics_path = out / "metrics.csv"
     best_step, best_score = -1, -np.inf
 
-    t_setup = time.perf_counter()
     start_step = 0
     if resume:
         latest = _latest_state(checkpoints)
@@ -429,23 +413,17 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
         analysis.write_confusion_csv(metrics.confusion, out / f"eval_{tag}_confusion.csv")
     t_eval = time.perf_counter() - t_eval_start
 
-    manifest_lines = [
-        "command=train",
-        f"dataset_checksum={bundle.dataset_checksum()}",
-        f"seed={config.seed}",
-        f"steps={config.steps}",
-        f"final_miou={final_metrics.miou!r}",
-        f"best_miou={best_metrics.miou!r}",
-        f"best_step={best_step}",
-        f"wallclock.setup={t_train_start - t_setup:.3f}",
-        f"wallclock.train={t_train:.3f}",
-        f"wallclock.eval={t_eval:.3f}",
-    ]
-    produced = sorted(p for p in out.rglob("*")
-                      if p.is_file() and p.name != "run_manifest.txt")
-    manifest_lines += [f"artifact.{p.relative_to(out)}=present" for p in produced]
-    (out / "run_manifest.txt").write_text("\n".join(manifest_lines) + "\n",
-                                          encoding="utf-8")
+    write_run_manifest(out, "train", {
+        "dataset_checksum": bundle.dataset_checksum(),
+        "seed": config.seed,
+        "steps": config.steps,
+        "final_miou": repr(final_metrics.miou),
+        "best_miou": repr(best_metrics.miou),
+        "best_step": best_step,
+        "wallclock.setup": f"{t_train_start - t_setup:.3f}",
+        "wallclock.train": f"{t_train:.3f}",
+        "wallclock.eval": f"{t_eval:.3f}",
+    })
 
     return RunResult(final_metrics, best_metrics, best_step,
                      final_metrics.miou, best_metrics.miou, out)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,21 @@ def fast_train_args(data_dir, out, extra=()):
             "--checkpoint-every", "0", *extra]
 
 
+def assert_manifest_lists_every_file(out, command):
+    manifest = out / "run_manifest.txt"
+    lines = manifest.read_text().splitlines()
+    assert lines[0] == f"command={command}"
+    listed = {line[len("artifact."):-len("=present")]
+              for line in lines if line.startswith("artifact.")}
+    assert listed == {str(p.relative_to(out)) for p in out.rglob("*")
+                      if p.is_file() and p != manifest}
+
+
 class TestGen:
     def test_manifest_has_all_items(self, data_dir):
         entries = dg.parse_manifest(data_dir / "manifest.txt")
         assert sum(1 for k in entries if k.startswith("item.")) == 15
-        assert (data_dir / "run_manifest.txt").exists()
+        assert_manifest_lists_every_file(data_dir, "gen")
 
     def test_missing_out_is_usage_error(self, capsys):
         assert cli.main(["gen"]) == 2
@@ -126,6 +138,7 @@ class TestEval:
             (tmp_path / "e2" / "metrics.csv").read_text()
         assert (tmp_path / "e1" / "confusion.csv").read_text() == \
             (tmp_path / "e2" / "confusion.csv").read_text()
+        assert_manifest_lists_every_file(tmp_path / "e1", "eval")
 
     def test_iou_recomputed_from_confusion_matches(self, data_dir, tmp_path):
         out = tmp_path / "trained2"
@@ -187,6 +200,7 @@ class TestSweep:
         assert manifest["dataset_checksum"] == \
             DatasetBundle(data_dir).dataset_checksum()
         assert manifest["n_failed"] == "0"
+        assert_manifest_lists_every_file(out, "sweep")
 
     def test_both_axes_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["sweep", "--data", str(data_dir),
@@ -194,3 +208,38 @@ class TestSweep:
                          "--alphas", "1.0", "--priors", "onehot"])
         assert code == 3
         capsys.readouterr()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("line, key", [("alpha = abc", "alpha"),
+                                           ("lambda = 0.9x", "lambda"),
+                                           ("dap_enabled = false", "dap_enabled")])
+    def test_bad_config_value_exits_3_and_names_key(self, data_dir, tmp_path,
+                                                    capsys, line, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        code = cli.main(fast_train_args(data_dir, tmp_path / "run",
+                                        ["--config", str(config)]))
+        assert code == 3
+        assert key in capsys.readouterr().err
+
+    def test_bad_checkpoint_exits_3_and_names_file(self, data_dir, tmp_path, capsys):
+        truncated = tmp_path / "truncated.ckpt"
+        md.save_checkpoint(truncated, md.init_student(0).data_arrays())
+        truncated.write_bytes(truncated.read_bytes()[:-5])
+        for ckpt in (truncated, tmp_path / "missing.ckpt"):
+            code = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                             "--out", str(tmp_path / "eval")])
+            assert code == 3
+            assert ckpt.name in capsys.readouterr().err
+
+    def test_dataset_manifest_missing_key_exits_3_and_names_it(self, data_dir,
+                                                              tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        manifest = broken / "manifest.txt"
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if not line.startswith("n_test=")))
+        code = cli.main(fast_train_args(broken, tmp_path / "run"))
+        assert code == 3
+        assert "n_test" in capsys.readouterr().err

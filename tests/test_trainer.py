@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ class TestConfig:
     def test_round_trip_through_file(self, tmp_path):
         config = tr.TrainConfig(alpha=0.75, ema_lambda=0.5, steps=12,
                                 prior="random", prior_dim=64, interp="nearest",
-                                dap_enabled=False)
+                                pseudo_acc_diagnostic=True)
         path = tmp_path / "config.txt"
         path.write_text(tr.config_to_text(config))
         assert tr.parse_config(path) == config
@@ -89,6 +91,12 @@ class TestPseudoLabel:
         assert all(p.grad is None for p in trainer.teacher.params.values())
 
 
+def dap_loss(state, image, labels, embeddings):
+    """The DAP term of one [3,H,W] image, from a fresh forward pass."""
+    out = md.forward(state, Tensor(image[None]))
+    return tr.dap_term(state, out.projected_features, labels, embeddings, "bilinear")
+
+
 class TestDapLoss:
     def test_zero_projectors_give_zero_loss(self):
         state = md.init_student(seed=1)
@@ -97,7 +105,7 @@ class TestDapLoss:
         rng = np.random.default_rng(2)
         image = rng.uniform(size=(3, 16, 16))
         labels = rng.integers(0, NUM_CLASSES, (16, 16)).astype(np.uint8)
-        loss = tr.dap_loss(state, image, labels, build_one_hot(NUM_CLASSES))
+        loss = dap_loss(state, image, labels, build_one_hot(NUM_CLASSES))
         assert loss.item() == 0.0
 
     def test_invariant_to_joint_class_permutation(self):
@@ -115,8 +123,8 @@ class TestDapLoss:
         permuted = EmbeddingSet("one_hot", NUM_CLASSES,
                                 permuted_vectors.copy(), embeddings.class_names)
 
-        base = tr.dap_loss(state, image, labels, embeddings).item()
-        swapped = tr.dap_loss(state, image, permuted_labels, permuted).item()
+        base = dap_loss(state, image, labels, embeddings).item()
+        swapped = dap_loss(state, image, permuted_labels, permuted).item()
         assert abs(base - swapped) < 1e-10
 
     def test_gradient_reaches_projectors_and_backbone_not_head(self):
@@ -124,7 +132,7 @@ class TestDapLoss:
         rng = np.random.default_rng(6)
         image = rng.uniform(size=(3, 16, 16))
         labels = rng.integers(0, NUM_CLASSES, (16, 16)).astype(np.uint8)
-        loss = tr.dap_loss(state, image, labels, build_random(NUM_CLASSES, 16, 7))
+        loss = dap_loss(state, image, labels, build_random(NUM_CLASSES, 16, 7))
         tc.backward(loss)
         assert state.params["gpr.conv"].grad is not None
         assert state.params["gvi.conv"].grad is not None
@@ -138,7 +146,7 @@ class TestDapLoss:
         labels = rng.integers(0, NUM_CLASSES, (8, 8)).astype(np.uint8)
         embeddings = build_one_hot(NUM_CLASSES)
 
-        loss = tr.dap_loss(state, image, labels, embeddings)
+        loss = dap_loss(state, image, labels, embeddings)
         tc.backward(loss)
         analytic = state.params["gpr.conv"].grad.copy()
 
@@ -149,9 +157,9 @@ class TestDapLoss:
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            hi = tr.dap_loss(state, image, labels, embeddings).item()
+            hi = dap_loss(state, image, labels, embeddings).item()
             flat[i] = keep - eps
-            lo = tr.dap_loss(state, image, labels, embeddings).item()
+            lo = dap_loss(state, image, labels, embeddings).item()
             flat[i] = keep
             nflat[i] = (hi - lo) / (2 * eps)
         denom = max(np.abs(analytic).max(), np.abs(numeric).max())
@@ -172,20 +180,6 @@ class TestTrainStep:
         for _ in range(3):
             record = trainer.train_step()
             assert abs(record.l_overall - (record.l_seg + 0.7 * record.l_dap)) < 1e-9
-
-    def test_disabled_dap_and_alpha_zero_run_bit_identical(self, bundle):
-        a = tr.Trainer(small_config(dap_enabled=False), bundle)
-        b = tr.Trainer(small_config(alpha=0.0, dap_enabled=True), bundle)
-        for _ in range(6):
-            ra = a.train_step()
-            rb = b.train_step()
-            assert ra.l_seg == rb.l_seg
-        for name in a.student.params:
-            np.testing.assert_array_equal(a.student.params[name].data,
-                                          b.student.params[name].data)
-        for name in a.teacher.params:
-            np.testing.assert_array_equal(a.teacher.params[name].data,
-                                          b.teacher.params[name].data)
 
     def test_teacher_and_priors_never_receive_gradients(self, bundle):
         trainer = tr.Trainer(small_config(), bundle)
@@ -304,6 +298,51 @@ class TestRun:
                   for p in (tmp_path / "run").rglob("*")
                   if p.is_file() and p.name != "run_manifest.txt"}
         assert listed == actual
+        assert manifest.splitlines()[0] == "command=train"
+
+    def test_wallclock_setup_counts_trainer_construction(self, bundle, tmp_path,
+                                                         monkeypatch):
+        build = tr.Trainer.__init__
+
+        def slow_build(self, *args, **kwargs):
+            time.sleep(0.02)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(tr.Trainer, "__init__", slow_build)
+        tr.run(small_config(steps=1), bundle, tmp_path / "run")
+        entries = dg.parse_manifest(tmp_path / "run" / "run_manifest.txt")
+        assert float(entries["wallclock.setup"]) >= 0.02
+
+    @pytest.mark.parametrize("failing", [".ckpt", ".rng.json"])
+    def test_failed_rename_leaves_no_partial_state(self, bundle, tmp_path,
+                                                   monkeypatch, failing):
+        trainer = tr.Trainer(small_config(), bundle)
+        old = tmp_path / "old" / "state_000001.ckpt"
+        old.parent.mkdir()
+        trainer.save_train_state(old, old.with_suffix(".rng.json"))
+        before = {p.name: p.read_bytes() for p in old.parent.iterdir()}
+        trainer.train_step()
+
+        replace = os.replace
+
+        def flaky_replace(src, dst):
+            if str(dst).endswith(failing):
+                raise OSError("simulated rename failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(md.os, "replace", flaky_replace)
+        new = tmp_path / "new" / "state_000002.ckpt"
+        new.parent.mkdir()
+        for target in (old, new):
+            with pytest.raises(OSError):
+                trainer.save_train_state(target, target.with_suffix(".rng.json"))
+
+        assert not [p for p in new.parent.iterdir() if p.name.endswith(failing)]
+        assert not list(new.parent.glob(".*")) and not list(old.parent.glob(".*"))
+        assert tr._latest_state(new.parent) is None
+        for name, data in before.items():
+            if name.endswith(failing):
+                assert (old.parent / name).read_bytes() == data
 
 
 class TripwireBundle(DatasetBundle):

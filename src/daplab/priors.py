@@ -61,7 +61,10 @@ def load_vectors(path, class_names=CLASS_NAMES) -> EmbeddingSet:
     alias table tried when the canonical name is absent. Vectors are used
     as-is, without re-normalization.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as failure:
+        raise InputError(f"{path}: cannot read vector file ({failure.strerror})") from None
     if not lines:
         raise InputError(f"{path}: empty vector file")
     header = lines[0].split()

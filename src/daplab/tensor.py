@@ -227,31 +227,18 @@ def take_batch(x: Tensor, index: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-_COL_INDEX_CACHE: dict = {}
-
-
-def _patch_indices(cin, hp, wp, ho, wo, kh, kw, stride):
-    """Flat indices into a padded [Cin, Hp, Wp] volume for every im2col
-    column entry, laid out [Ho*Wo, Cin*kh*kw] to match the forward cols."""
-    key = (cin, hp, wp, ho, wo, kh, kw, stride)
-    cached = _COL_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rows = np.arange(ho)[:, None] * stride + np.arange(kh)[None, :]      # [Ho,kh]
-    cols = np.arange(wo)[:, None] * stride + np.arange(kw)[None, :]      # [Wo,kw]
-    idx = (np.arange(cin)[:, None, None, None, None] * (hp * wp)
-           + rows[None, :, None, :, None] * wp
-           + cols[None, None, :, None, :])                               # [Cin,Ho,Wo,kh,kw]
-    idx = np.ascontiguousarray(idx.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, cin * kh * kw)
-    _COL_INDEX_CACHE[key] = idx
-    return idx
-
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1, same for
     width. No bias term; the models here do not use one.
+
+    Both passes work on channels-first im2col columns [N, Cin*kh*kw, Ho*Wo]:
+    row (c, i, j) holds tap (i, j) of input channel c for every output
+    position, so `kernel` reshaped to [Cout, Cin*kh*kw] times the columns is
+    the output in NCHW order. A 1x1, stride-1, unpadded kernel's columns
+    are a view of the input.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and kernel")
@@ -267,47 +254,29 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        # pointwise convolution: a plain channel mix, no patch extraction
-        kmat = kernel.data[:, :, 0, 0]
-        out = np.einsum("oc,nchw->nohw", kmat, x.data)
-
-        def back_pointwise(g):
-            dk = None
-            dx = None
-            if kernel.requires_grad:
-                dk = np.einsum("nohw,nchw->oc", g, x.data).reshape(cout, cin, 1, 1)
-            if x.requires_grad:
-                dx = np.einsum("oc,nohw->nchw", kmat, g)
-            return (dx, dk)
-
-        return _emit("conv2d", (x, kernel), out, back_pointwise)
-
     if padding:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]                          # [N,Cin,Ho,Wo,kh,kw]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * ho * wo, cin * kh * kw)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, ho * wo)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = (cols @ kmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = (kmat @ cols).reshape(n, cout, ho, wo)
 
     def back(g):
-        dmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-        dk = None
-        dx = None
+        g3 = g.reshape(n, cout, ho * wo)
+        dk = dx = None
         if kernel.requires_grad:
-            dk = (dmat.T @ cols).reshape(cout, cin, kh, kw)
+            dk = (g3 @ cols.transpose(0, 2, 1)).sum(0).reshape(cout, cin, kh, kw)
         if x.requires_grad:
-            dcols = dmat @ kmat                                          # [N*Ho*Wo, Cin*kh*kw]
-            idx = _patch_indices(cin, hp, wp, ho, wo, kh, kw, stride)
-            offsets = np.arange(n, dtype=np.int64) * (cin * hp * wp)
-            flat_idx = (idx[None, :, :] + offsets[:, None, None]).ravel()
-            dxp = np.bincount(flat_idx, weights=dcols.ravel(),
-                              minlength=n * cin * hp * wp).reshape(n, cin, hp, wp)
-            dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
+            dcols = (kmat.T @ g3).reshape(n, cin, kh, kw, ho, wo)
+            dxp = np.zeros((n, cin, hp, wp))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + stride * ho:stride,
+                        j:j + stride * wo:stride] += dcols[:, :, i, j]
+            dx = dxp[:, :, padding:padding + h, padding:padding + w]
         return (dx, dk)
 
     return _emit("conv2d", (x, kernel), out, back)

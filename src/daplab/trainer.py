@@ -87,7 +87,11 @@ def parse_config(path) -> TrainConfig:
     """Plain-text key = value config, one per line, # comments."""
     known = {f.name for f in fields(TrainConfig)}
     kwargs = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as failure:
+        raise InputError(f"{path}: cannot read config ({failure.strerror})") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -312,12 +316,13 @@ class RunResult:
 
 
 def _latest_state(checkpoint_dir: Path):
-    candidates = sorted(checkpoint_dir.glob("state_*.ckpt"))
-    if not candidates:
-        return None
-    latest = candidates[-1]
-    rng_path = latest.with_suffix(".rng.json")
-    return (latest, rng_path) if rng_path.exists() else None
+    """The newest `state_*.ckpt` that has its `.rng.json` sidecar, as a
+    (checkpoint, sidecar) pair, or None."""
+    for ckpt in sorted(checkpoint_dir.glob("state_*.ckpt"), reverse=True):
+        rng_path = ckpt.with_suffix(".rng.json")
+        if rng_path.exists():
+            return ckpt, rng_path
+    return None
 
 
 def run(config: TrainConfig, bundle: DatasetBundle, out_dir,

@@ -233,6 +233,26 @@ class TestMalformedInput:
             assert code == 3
             assert ckpt.name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--config"], ["--prior", "file", "--vectors"]],
+                             ids=["config", "vectors"])
+    def test_missing_input_file_exits_3_and_names_it(self, data_dir, tmp_path, capsys,
+                                                     flag):
+        missing = tmp_path / "absent.txt"
+        code = cli.main(fast_train_args(data_dir, tmp_path / "run", [*flag, str(missing)]))
+        assert code == 3
+        assert missing.name in capsys.readouterr().err
+
+    def test_checkpoint_missing_a_parameter_exits_3_and_names_it(self, data_dir,
+                                                                 tmp_path, capsys):
+        arrays = md.init_student(0).data_arrays()
+        del arrays["head.conv"]
+        partial = tmp_path / "partial.ckpt"
+        md.save_checkpoint(partial, arrays)
+        code = cli.main(["eval", "--ckpt", str(partial), "--data", str(data_dir),
+                         "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert "head.conv" in capsys.readouterr().err
+
     def test_dataset_manifest_missing_key_exits_3_and_names_it(self, data_dir,
                                                               tmp_path, capsys):
         broken = tmp_path / "broken"

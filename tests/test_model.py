@@ -174,6 +174,12 @@ class TestCheckpoints:
         with pytest.raises(InputError):
             m.load_checkpoint(path)
 
+    def test_state_from_arrays_names_missing_and_unexpected(self, student):
+        arrays = student.data_arrays()
+        arrays["head.bias"] = arrays.pop("gvi.conv")
+        with pytest.raises(InputError, match="missing gvi.conv; unexpected head.bias"):
+            m.state_from_arrays(arrays, "student")
+
     def test_state_from_arrays_roles(self, student):
         arrays = student.data_arrays()
         st = m.state_from_arrays(arrays, "student")

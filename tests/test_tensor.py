@@ -129,13 +129,37 @@ class TestConv2d:
         out = tc.conv2d(tc.Tensor(x), tc.Tensor(k), stride=1, padding=1)
         np.testing.assert_allclose(out.data, conv2d_loops(x, k, 1, 1), atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0)])
-    def test_strided_matches_loop_reference(self, stride, padding):
+    @pytest.mark.parametrize("stride,padding,kernel", [
+        pytest.param(1, 0, (3, 3), id="1-0"),
+        pytest.param(2, 1, (3, 3), id="2-1"),
+        pytest.param(2, 0, (3, 3), id="2-0"),
+        pytest.param(2, 1, (1, 1), id="2-1-1x1"),
+        pytest.param(2, 1, (2, 3), id="2-1-2x3"),
+    ])
+    def test_strided_matches_loop_reference(self, stride, padding, kernel):
         rng = np.random.default_rng(stride * 10 + padding)
         x = rng.normal(size=(2, 3, 6, 5))
-        k = rng.normal(size=(4, 3, 3, 3))
+        k = rng.normal(size=(4, 3, *kernel))
         out = tc.conv2d(tc.Tensor(x), tc.Tensor(k), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, conv2d_loops(x, k, stride, padding), atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [((2, 3), 2, 1), ((1, 1), 2, 1),
+                                                       ((1, 1), 1, 0)],
+                             ids=["2x3-2-1", "1x1-2-1", "1x1-1-0"])
+    def test_input_and_kernel_gradients_match_finite_differences(self, kernel, stride,
+                                                                  padding):
+        rng = np.random.default_rng(20)
+        x = tc.Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
+        k = tc.Tensor(rng.normal(size=(4, 3, *kernel)), requires_grad=True)
+        ref = tc.Tensor(rng.normal(size=tc.conv2d(x, k, stride, padding).shape))
+
+        def loss_fn():
+            return tc.sum_squared_error(tc.conv2d(x, k, stride, padding), ref)
+
+        tc.backward(loss_fn())
+        for p in (x, k):
+            numeric = finite_difference(lambda: loss_fn().item(), p)
+            assert relative_error(p.grad, numeric) < 1e-3
 
     def test_channel_mismatch_raises(self):
         x = tc.Tensor(np.zeros((1, 2, 4, 4)))

@@ -272,6 +272,27 @@ class TestRun:
             (interrupted_dir / "metrics.csv").read_text()
         assert straight.final_miou == resumed.final_miou
 
+    def test_resume_skips_a_checkpoint_without_its_sidecar(self, bundle, tmp_path,
+                                                           monkeypatch):
+        config = small_config(steps=8, checkpoint_every=4)
+        out = tmp_path / "run"
+        straight = tr.run(config, bundle, out)
+        final = md.load_checkpoint(out / "student_final.ckpt")
+        checkpoints = out / "checkpoints"
+        (checkpoints / "state_000008.rng.json").unlink()
+        assert tr._latest_state(checkpoints) == (checkpoints / "state_000004.ckpt",
+                                                 checkpoints / "state_000004.rng.json")
+
+        steps_run = []
+        train_step = tr.Trainer.train_step
+        monkeypatch.setattr(tr.Trainer, "train_step",
+                            lambda self: steps_run.append(1) or train_step(self))
+        resumed = tr.run(config, bundle, out, resume=True)
+        assert len(steps_run) == 4
+        for name, arr in md.load_checkpoint(out / "student_final.ckpt").items():
+            np.testing.assert_array_equal(arr, final[name])
+        assert straight.final_miou == resumed.final_miou
+
     def test_resume_rejects_changed_config(self, bundle, tmp_path):
         config = small_config(steps=4, checkpoint_every=2)
         tr.run(config, bundle, tmp_path / "run")

@@ -47,13 +47,12 @@ def predict_labels(state: md.ModelState, image: np.ndarray) -> np.ndarray:
     return argmax_labels(logits)
 
 
-def confusion_from_pairs(truth: np.ndarray, prediction: np.ndarray,
-                         num_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion_from_pairs(truth: np.ndarray, prediction: np.ndarray) -> np.ndarray:
     valid = truth != IGNORE_ID
     t = truth[valid].astype(np.int64)
     p = prediction[valid].astype(np.int64)
-    flat = np.bincount(t * num_classes + p, minlength=num_classes * num_classes)
-    return flat.reshape(num_classes, num_classes)
+    flat = np.bincount(t * NUM_CLASSES + p, minlength=NUM_CLASSES * NUM_CLASSES)
+    return flat.reshape(NUM_CLASSES, NUM_CLASSES)
 
 
 def metrics_from_confusion(confusion: np.ndarray) -> Metrics:

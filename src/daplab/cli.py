@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lr", type=float)
     train.add_argument("--steps", type=int)
     train.add_argument("--seed", type=int)
-    train.add_argument("--prior", choices=["onehot", "random", "file"])
+    train.add_argument("--prior", choices=tr.PRIOR_KINDS)
     train.add_argument("--vectors", dest="vector_file")
-    train.add_argument("--interp", choices=["bilinear", "nearest"])
+    train.add_argument("--interp", choices=tr.INTERP_MODES)
     train.add_argument("--no-dap", action="store_true")
     train.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
     train.add_argument("--heldout-source", dest="heldout_source", type=int)
     train.add_argument("--pseudo-acc", dest="pseudo_acc_diagnostic",
-                       action="store_true")
+                       action="store_true", default=None)
     train.add_argument("--resume", action="store_true")
     train.set_defaults(func=cmd_train)
 
@@ -87,17 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _train_config(args) -> tr.TrainConfig:
+    """The --config file, or the defaults, with each TrainConfig field
+    overridden by its flag when the flag was given."""
     config = tr.parse_config(args.config) if args.config else tr.TrainConfig()
-    overrides = {}
-    for field in ("alpha", "ema_lambda", "lr", "steps", "seed", "prior",
-                  "vector_file", "interp", "checkpoint_every", "heldout_source"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if args.no_dap:
+    overrides = {f.name: getattr(args, f.name) for f in fields(tr.TrainConfig)
+                 if getattr(args, f.name, None) is not None}
+    if getattr(args, "no_dap", False):
         overrides["alpha"] = 0.0
-    if args.pseudo_acc_diagnostic:
-        overrides["pseudo_acc_diagnostic"] = True
     return replace(config, **overrides)
 
 
@@ -198,14 +194,35 @@ def worker_cap() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+# Workers that each inherit the default BLAS thread count oversubscribe the
+# cores: two trainers on two cores ran about 8x slower per step than with one
+# BLAS thread each.
+WORKER_BLAS_THREADS = 1
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_in_workers(jobs, workers: int) -> list:
+    """Run the cells in spawned worker processes, each limited to
+    WORKER_BLAS_THREADS BLAS threads; this process's environment is left as
+    it was."""
+    from multiprocessing import get_context
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, str(WORKER_BLAS_THREADS)))
+    try:
+        with get_context("spawn").Pool(workers) as pool:
+            return pool.map(_run_cell, jobs)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def cmd_sweep(args) -> int:
     if bool(args.alphas) == bool(args.priors):
         raise InputError("sweep needs exactly one of --alphas or --priors")
-    base = tr.parse_config(args.config) if args.config else tr.TrainConfig()
-    if args.steps is not None:
-        base = replace(base, steps=args.steps)
-    if args.heldout_source is not None:
-        base = replace(base, heldout_source=args.heldout_source)
+    base = _train_config(args)
 
     if args.alphas:
         label = "alpha"
@@ -233,9 +250,7 @@ def cmd_sweep(args) -> int:
     workers = min(worker_cap(), len(jobs))
     started = time.perf_counter()
     if workers > 1:
-        from multiprocessing import get_context
-        with get_context("spawn").Pool(workers) as pool:
-            rows = pool.map(_run_cell, jobs)
+        rows = _map_in_workers(jobs, workers)
     else:
         rows = [_run_cell(job) for job in jobs]
 
@@ -263,6 +278,7 @@ def cmd_sweep(args) -> int:
         "seeds": args.seeds,
         "dataset_checksum": bundle.dataset_checksum(),
         "workers": workers,
+        "worker_blas_threads": WORKER_BLAS_THREADS if workers > 1 else "inherited",
         "n_cells": len(jobs),
         "n_failed": failed_total,
         "wallclock.sweep": f"{time.perf_counter() - started:.3f}",

@@ -54,25 +54,23 @@ def _he_init(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-def parameter_shapes(num_classes: int = NUM_CLASSES,
-                     prior_dim: int = NUM_CLASSES) -> dict:
+def parameter_shapes(prior_dim: int = NUM_CLASSES) -> dict:
     """Name -> kernel shape of every model parameter."""
     return {
         "backbone.conv1": (16, 3, 3, 3),
         "backbone.conv2": (32, 16, 3, 3),
         "backbone.conv3": (FEATURE_CHANNELS, 32, 3, 3),
-        "head.conv": (num_classes, FEATURE_CHANNELS, 1, 1),
+        "head.conv": (NUM_CLASSES, FEATURE_CHANNELS, 1, 1),
         "gvi.conv": (COMMON_CHANNELS, FEATURE_CHANNELS, 1, 1),
         "gpr.conv": (COMMON_CHANNELS, prior_dim, 1, 1),
     }
 
 
-def init_student(seed: int, num_classes: int = NUM_CLASSES,
-                 prior_dim: int = NUM_CLASSES) -> ModelState:
+def init_student(seed: int, prior_dim: int = NUM_CLASSES) -> ModelState:
     """Fresh student parameters; the backbone halves resolution twice."""
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in parameter_shapes(num_classes, prior_dim).items():
+    for name, shape in parameter_shapes(prior_dim).items():
         weight = _he_init(rng, shape)
         if name.startswith(("gvi.", "gpr.")):
             weight *= PROJECTOR_INIT_SCALE
@@ -189,11 +187,19 @@ def load_checkpoint(path) -> dict:
 
 
 def state_from_arrays(arrays: dict, role: str) -> ModelState:
+    """Model parameters from checkpoint arrays, checked by name and shape. The
+    prior width is read from `gpr.conv`, so a checkpoint trained with any
+    prior loads."""
     expected = parameter_shapes().keys()
     missing, unexpected = sorted(expected - arrays.keys()), sorted(arrays.keys() - expected)
     if missing or unexpected:
         raise InputError(f"checkpoint parameters: missing {', '.join(missing) or 'none'}; "
                          f"unexpected {', '.join(unexpected) or 'none'}")
+    gpr = arrays["gpr.conv"].shape
+    for name, shape in parameter_shapes(gpr[1] if len(gpr) > 1 else 0).items():
+        if arrays[name].shape != shape:
+            raise InputError(f"checkpoint parameter {name} has shape {arrays[name].shape}, "
+                             f"expected {shape}")
     requires_grad = role == "student"
     return ModelState({name: Tensor(arr, requires_grad=requires_grad)
                        for name, arr in arrays.items()}, role=role)

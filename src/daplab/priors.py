@@ -22,8 +22,7 @@ from .tensor import Tensor, bilinear_resize, nearest_resize
 class EmbeddingSet:
     kind: str               # one_hot | random | loaded
     dim: int
-    vectors: np.ndarray     # [C, dim] float64, write-protected
-    class_names: tuple
+    vectors: np.ndarray     # [NUM_CLASSES, dim] float64 in CLASS_NAMES order, write-protected
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
@@ -32,28 +31,22 @@ class EmbeddingSet:
         return self.vectors[class_id]
 
 
-def build_one_hot(num_classes: int = NUM_CLASSES) -> EmbeddingSet:
+def build_one_hot() -> EmbeddingSet:
     """Standard basis vectors, one per class."""
-    if num_classes < 2:
-        raise InputError("need at least 2 classes")
-    return EmbeddingSet("one_hot", num_classes, np.eye(num_classes),
-                        CLASS_NAMES[:num_classes] if num_classes <= NUM_CLASSES
-                        else tuple(f"class_{i}" for i in range(num_classes)))
+    return EmbeddingSet("one_hot", NUM_CLASSES, np.eye(NUM_CLASSES))
 
 
-def build_random(num_classes: int, dim: int, seed: int) -> EmbeddingSet:
+def build_random(dim: int, seed: int) -> EmbeddingSet:
     """I.i.d. standard-normal rows, L2-normalized; deterministic per seed."""
     if dim < 2:
         raise InputError("random embeddings need dim >= 2")
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((num_classes, dim))
+    rows = rng.standard_normal((NUM_CLASSES, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    names = CLASS_NAMES[:num_classes] if num_classes <= NUM_CLASSES \
-        else tuple(f"class_{i}" for i in range(num_classes))
-    return EmbeddingSet("random", dim, rows, names)
+    return EmbeddingSet("random", dim, rows)
 
 
-def load_vectors(path, class_names=CLASS_NAMES) -> EmbeddingSet:
+def load_vectors(path) -> EmbeddingSet:
     """Parse a word-vector text file and order rows by the class table.
 
     Format: first line `D <int>`, then one `<name> <v1> ... <vD>` line per
@@ -88,7 +81,7 @@ def load_vectors(path, class_names=CLASS_NAMES) -> EmbeddingSet:
             raise InputError(f"{path}:{lineno}: bad float value") from None
 
     rows = []
-    for name in class_names:
+    for name in CLASS_NAMES:
         candidates = (name,) + CLASS_ALIASES.get(name, ())
         for candidate in candidates:
             if candidate.lower() in table:
@@ -96,13 +89,13 @@ def load_vectors(path, class_names=CLASS_NAMES) -> EmbeddingSet:
                 break
         else:
             raise InputError(f"class {name} unresolved in {path}")
-    return EmbeddingSet("loaded", dim, np.stack(rows), tuple(class_names))
+    return EmbeddingSet("loaded", dim, np.stack(rows))
 
 
 def save_vectors(path, embeddings: EmbeddingSet) -> None:
     """Inverse of load_vectors; float repr keeps the round trip exact."""
     lines = [f"D {embeddings.dim}"]
-    for name, row in zip(embeddings.class_names, embeddings.vectors):
+    for name, row in zip(CLASS_NAMES, embeddings.vectors):
         lines.append(name + " " + " ".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -118,10 +111,9 @@ def proj(labels: np.ndarray, embeddings: EmbeddingSet) -> Tensor:
         labels = labels[None]
     if labels.ndim != 3:
         raise DimensionError("proj expects [H,W] or [N,H,W] labels")
-    num_classes = embeddings.vectors.shape[0]
     lookup = np.vstack([embeddings.vectors, np.zeros((1, embeddings.dim))])
-    idx = np.where(labels == IGNORE_ID, num_classes, labels).astype(np.int64)
-    if idx.max() > num_classes:
+    idx = np.where(labels == IGNORE_ID, NUM_CLASSES, labels).astype(np.int64)
+    if idx.max() > NUM_CLASSES:
         raise InputError("label id outside the embedding table")
     grid = lookup[idx]                                   # [N,H,W,D]
     return Tensor(np.ascontiguousarray(grid.transpose(0, 3, 1, 2)))
@@ -144,16 +136,15 @@ def downsample_embedding(embedding_map: Tensor, out_h: int, out_w: int,
     raise InputError(f"unknown interpolation mode {mode!r}")
 
 
-def make_embeddings(kind: str, num_classes: int = NUM_CLASSES, *,
-                    dim: int = 300, seed: int = 0,
+def make_embeddings(kind: str, *, dim: int = 300, seed: int = 0,
                     vector_file=None) -> EmbeddingSet:
     """Config-level constructor: kind is one of onehot|random|file."""
-    if kind in ("onehot", "one_hot"):
-        return build_one_hot(num_classes)
+    if kind == "onehot":
+        return build_one_hot()
     if kind == "random":
-        return build_random(num_classes, dim, seed)
+        return build_random(dim, seed)
     if kind == "file":
         if vector_file is None:
             raise InputError("prior kind 'file' needs a vector file path")
-        return load_vectors(vector_file, CLASS_NAMES[:num_classes])
+        return load_vectors(vector_file)
     raise InputError(f"unknown prior kind {kind!r}")

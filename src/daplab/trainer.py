@@ -9,11 +9,10 @@ import json
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .classes import NUM_CLASSES
 from .datagen import DatasetBundle, write_run_manifest
 from .errors import InputError, NumericError
 from . import analysis
@@ -24,6 +23,20 @@ from .priors import EmbeddingSet, downsample_embedding, make_embeddings, proj
 from .tensor import Tensor
 
 
+# The fixed self-training recipe. The paper varies the loss weight, the
+# teacher decay, the prior and the embedding down-sampling, never these.
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+HEAD_LR_MULTIPLIER = 10.0
+PROJECTOR_LR_MULTIPLIER = 0.5
+LR_POWER = 0.9
+JITTER_STRENGTH = 0.2
+BLUR_SIGMA = 0.5
+
+PRIOR_KINDS = ("onehot", "random", "file")
+INTERP_MODES = ("bilinear", "nearest")
+
+
 @dataclass
 class TrainConfig:
     """Every field is addressable in a key = value config file; the EMA
@@ -32,21 +45,14 @@ class TrainConfig:
     alpha: float = 1.0
     ema_lambda: float = 0.99
     lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    head_lr_multiplier: float = 10.0
-    projector_lr_multiplier: float = 0.5
     steps: int = 2000
-    prior: str = "onehot"             # onehot | random | file
+    prior: str = "onehot"             # one of PRIOR_KINDS
     vector_file: Optional[str] = None
     prior_dim: int = 300              # used by random priors
-    interp: str = "bilinear"          # bilinear | nearest
+    interp: str = "bilinear"          # one of INTERP_MODES
     seed: int = 0
-    jitter_strength: float = 0.2
-    blur_sigma: float = 0.5
     checkpoint_every: int = 500
     heldout_source: int = 8
-    lr_power: float = 0.9
     pseudo_acc_diagnostic: bool = False
 
     def __post_init__(self):
@@ -56,6 +62,16 @@ class TrainConfig:
             raise InputError("lambda must lie in [0, 1]")
         if self.steps < 0:
             raise InputError("steps must be >= 0")
+        if self.checkpoint_every < 0:
+            raise InputError("checkpoint_every must be >= 0")
+        if self.heldout_source < 0:
+            raise InputError("heldout_source must be >= 0")
+        if self.prior not in PRIOR_KINDS:
+            raise InputError(f"prior must be one of {', '.join(PRIOR_KINDS)}, "
+                             f"got {self.prior!r}")
+        if self.interp not in INTERP_MODES:
+            raise InputError(f"interp must be one of {', '.join(INTERP_MODES)}, "
+                             f"got {self.interp!r}")
 
 
 @dataclass
@@ -84,8 +100,9 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def parse_config(path) -> TrainConfig:
-    """Plain-text key = value config, one per line, # comments."""
-    known = {f.name for f in fields(TrainConfig)}
+    """Plain-text key = value config, one per line, # comments. Each value is
+    parsed as the type its TrainConfig field declares."""
+    types = get_type_hints(TrainConfig)
     kwargs = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -99,30 +116,28 @@ def parse_config(path) -> TrainConfig:
             raise InputError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         name = _CONFIG_FIELD_FOR_KEY.get(key, key)
-        if name not in known:
+        if name not in types:
             raise InputError(f"{path}: unknown config key {name!r}")
         try:
-            kwargs[name] = _coerce(name, value)
+            kwargs[name] = _coerce(types[name], value)
         except ValueError:
             raise InputError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return TrainConfig(**kwargs)
 
 
-def _coerce(name: str, text: str):
-    if text == "":
-        return None
-    if name in ("steps", "seed", "prior_dim", "checkpoint_every", "heldout_source"):
-        return int(text)
-    if name in ("prior", "vector_file", "interp"):
-        return text
-    if name == "pseudo_acc_diagnostic":
+def _coerce(kind, text: str):
+    """Parse `text` as `kind`; raises ValueError when it is no such value. An
+    empty string field reads as None, the inverse of config_to_text."""
+    if kind is bool:
         lowered = text.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise InputError(f"bad boolean for {name}: {text!r}")
-    return float(text)
+        raise ValueError(text)
+    if kind in (int, float):
+        return kind(text)
+    return text or None
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +161,28 @@ def dap_term(student: md.ModelState, projected: Tensor, labels: np.ndarray,
     return tc.sum_squared_error(projected, md.project_prior(student, emb))
 
 
+def make_optimizer(student: md.ModelState, lr: float) -> tc.SGD:
+    """SGD with the fixed recipe. The projectors learn below the base rate
+    and skip weight decay: the prior anchors otherwise contract toward zero
+    and the alignment loss degenerates before it can shape the features. A
+    loss that never reaches the projectors leaves them untouched, because
+    SGD.step skips parameters without a gradient."""
+    return tc.SGD(student.params, lr=lr, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY,
+                  lr_multipliers={"head.": HEAD_LR_MULTIPLIER,
+                                  "gvi.": PROJECTOR_LR_MULTIPLIER,
+                                  "gpr.": PROJECTOR_LR_MULTIPLIER},
+                  weight_decay_exempt=("gvi.", "gpr."))
+
+
 SUPERVISED_LR = 0.02
 
 
 def train_supervised(items, steps: int, seed: int) -> md.ModelState:
     """Plain cross-entropy training on a labeled split; used for oracle and
-    source-only control models. Fixed recipe: base lr 0.02 with a 10x head
-    rate, momentum 0.9, weight decay 5e-4, polynomial decay power 0.9."""
+    source-only control models. Fixed recipe: make_optimizer at base lr 0.02
+    with polynomial decay."""
     state = md.init_student(seed)
-    optimizer = tc.SGD(state.params, lr=SUPERVISED_LR, momentum=0.9,
-                       weight_decay=5e-4, lr_multipliers={"head.": 10.0})
+    optimizer = make_optimizer(state, SUPERVISED_LR)
     order = np.random.default_rng(seed)
     for step in range(steps):
         item = items[int(order.integers(len(items)))]
@@ -163,7 +190,7 @@ def train_supervised(items, steps: int, seed: int) -> md.ModelState:
         out = md.forward(state, Tensor(item.image[None]))
         loss = tc.softmax_cross_entropy(out.logits, item.labels[None])
         tc.backward(loss)
-        optimizer.step(tc.polynomial_lr(SUPERVISED_LR, step, steps, 0.9))
+        optimizer.step(tc.polynomial_lr(SUPERVISED_LR, step, steps, LR_POWER))
     return state
 
 
@@ -182,20 +209,11 @@ class Trainer:
         self.bundle = bundle
 
         self.embeddings = make_embeddings(
-            config.prior, NUM_CLASSES, dim=config.prior_dim,
+            config.prior, dim=config.prior_dim,
             seed=config.seed + 1_000_000_007, vector_file=config.vector_file)
-        self.student = md.init_student(config.seed, NUM_CLASSES, self.embeddings.dim)
+        self.student = md.init_student(config.seed, prior_dim=self.embeddings.dim)
         self.teacher = md.make_teacher(self.student)
-        # projectors learn below the base rate and skip weight decay: the
-        # prior anchors otherwise contract toward zero and the alignment
-        # loss degenerates before it can shape the features
-        self.optimizer = tc.SGD(
-            self.student.params, lr=config.lr, momentum=config.momentum,
-            weight_decay=config.weight_decay,
-            lr_multipliers={"head.": config.head_lr_multiplier,
-                            "gvi.": config.projector_lr_multiplier,
-                            "gpr.": config.projector_lr_multiplier},
-            weight_decay_exempt=("gvi.", "gpr."))
+        self.optimizer = make_optimizer(self.student, config.lr)
 
         root = np.random.SeedSequence(config.seed)
         order_ss, subset_ss, augment_ss = root.spawn(3)
@@ -228,8 +246,7 @@ class Trainer:
         pseudo = pseudo_label(self.teacher, target_image)
         subset = mixing.sample_class_subset(source.labels, self.subset_rng)
         mixed = mixing.classmix(source, target_image, pseudo, subset)
-        mixed = mixing.augment_mixed(mixed, self.augment_rng,
-                                     cfg.jitter_strength, cfg.blur_sigma)
+        mixed = mixing.augment_mixed(mixed, self.augment_rng, JITTER_STRENGTH, BLUR_SIGMA)
 
         batch = Tensor(np.stack([source.image, mixed.image]))
         out = md.forward(self.student, batch)
@@ -251,7 +268,7 @@ class Trainer:
         if not loss_overall.is_finite():
             raise NumericError(f"non-finite loss at step {step}")
 
-        lr_t = tc.polynomial_lr(cfg.lr, step, cfg.steps, cfg.lr_power)
+        lr_t = tc.polynomial_lr(cfg.lr, step, cfg.steps, LR_POWER)
         tc.reset_gradients(self.student.params.values())
         tc.backward(loss_overall)
         self.optimizer.step(lr_t)
@@ -269,7 +286,7 @@ class Trainer:
 
     # -- train-state persistence -----------------------------------------------
 
-    def save_train_state(self, ckpt_path, rng_path) -> None:
+    def _state_arrays(self) -> dict:
         arrays = {}
         for name, p in self.student.named():
             arrays[f"student.{name}"] = p.data
@@ -277,7 +294,10 @@ class Trainer:
             arrays[f"teacher.{name}"] = p.data
         for name, v in self.optimizer.velocity.items():
             arrays[f"velocity.{name}"] = v
-        md.save_checkpoint(ckpt_path, arrays)
+        return arrays
+
+    def save_train_state(self, ckpt_path, rng_path) -> None:
+        md.save_checkpoint(ckpt_path, self._state_arrays())
         states = {
             "step": self.step_index,
             "order": self.order_rng.bit_generator.state,
@@ -288,6 +308,9 @@ class Trainer:
 
     def load_train_state(self, ckpt_path, rng_path) -> None:
         arrays = md.load_checkpoint(ckpt_path)
+        missing = [name for name in self._state_arrays() if name not in arrays]
+        if missing:
+            raise InputError(f"{ckpt_path}: train state lacks {', '.join(missing)}")
         for name, p in self.student.named():
             p.data = arrays[f"student.{name}"]
         for name, p in self.teacher.named():

@@ -188,7 +188,7 @@ class TestRelationshipMatrix:
 
     def test_one_hot_embeddings_give_identity(self):
         from daplab.priors import build_one_hot
-        e = build_one_hot(NUM_CLASSES)
+        e = build_one_hot()
         np.testing.assert_allclose(analysis.relationship_matrix(e.vectors),
                                    np.eye(NUM_CLASSES), atol=1e-15)
 

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import shutil
 
 import numpy as np
@@ -98,6 +100,12 @@ class TestTrain:
         assert code == 4
         capsys.readouterr()
 
+    def test_negative_heldout_source_exits_3(self, data_dir, tmp_path, capsys):
+        code = cli.main(fast_train_args(data_dir, tmp_path / "run",
+                                        ["--heldout-source", "-1"]))
+        assert code == 3
+        assert "heldout_source" in capsys.readouterr().err
+
     def test_bad_data_dir_exits_3(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "out"), "--steps", "1"])
@@ -191,7 +199,19 @@ class TestSweep:
         second_scores = [line.split(",")[2] for line in second.splitlines()[1:]]
         assert first_scores == second_scores
 
-    def test_prior_sweep_shares_dataset_checksum(self, data_dir, tmp_path):
+    def test_prior_sweep_shares_dataset_checksum(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        environment = dict(os.environ)
+        seen = {}
+        get_context = multiprocessing.get_context
+
+        def spying_get_context(method):
+            seen.update({name: os.environ.get(name) for name in cli.BLAS_THREAD_VARIABLES})
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spying_get_context)
         out = tmp_path / "sweep_priors"
         assert cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
                          "--priors", "onehot,random", "--seeds", "1",
@@ -201,6 +221,20 @@ class TestSweep:
             DatasetBundle(data_dir).dataset_checksum()
         assert manifest["n_failed"] == "0"
         assert_manifest_lists_every_file(out, "sweep")
+        # the two workers started with one BLAS thread each, and this
+        # process's environment is as it was
+        assert manifest["workers"] == "2" and manifest["worker_blas_threads"] == "1"
+        assert seen == dict.fromkeys(cli.BLAS_THREAD_VARIABLES, "1")
+        assert dict(os.environ) == environment
+
+    def test_unknown_prior_exits_3_before_any_cell(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sweep_clip"
+        code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--priors", "onehot,clip", "--seeds", "1", "--steps", "2",
+                         "--heldout-source", "0"])
+        assert code == 3
+        assert "clip" in capsys.readouterr().err
+        assert not (out / "cells").exists()
 
     def test_both_axes_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["sweep", "--data", str(data_dir),
@@ -212,8 +246,12 @@ class TestSweep:
 
 class TestMalformedInput:
     @pytest.mark.parametrize("line, key", [("alpha = abc", "alpha"),
+                                           ("alpha =", "alpha"),
                                            ("lambda = 0.9x", "lambda"),
-                                           ("dap_enabled = false", "dap_enabled")])
+                                           ("dap_enabled = false", "dap_enabled"),
+                                           ("interp = cubic", "interp"),
+                                           ("heldout_source = -1", "heldout_source"),
+                                           ("momentum = 0.9", "momentum")])
     def test_bad_config_value_exits_3_and_names_key(self, data_dir, tmp_path,
                                                     capsys, line, key):
         config = tmp_path / "run.cfg"
@@ -252,6 +290,26 @@ class TestMalformedInput:
                          "--out", str(tmp_path / "eval")])
         assert code == 3
         assert "head.conv" in capsys.readouterr().err
+
+    def test_checkpoint_with_a_misshapen_parameter_exits_3_and_names_it(
+            self, data_dir, tmp_path, capsys):
+        arrays = md.init_student(0).data_arrays()
+        arrays["head.conv"] = np.zeros((5, 32, 1, 1))
+        misshapen = tmp_path / "misshapen.ckpt"
+        md.save_checkpoint(misshapen, arrays)
+        code = cli.main(["eval", "--ckpt", str(misshapen), "--data", str(data_dir),
+                         "--out", str(tmp_path / "eval")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "head.conv" in err and "(5, 32, 1, 1)" in err and "(6, 32, 1, 1)" in err
+
+    def test_checkpoint_trained_with_a_300d_prior_evaluates(self, data_dir, tmp_path,
+                                                            capsys):
+        wide = tmp_path / "wide.ckpt"
+        md.save_checkpoint(wide, md.init_student(0, prior_dim=300).data_arrays())
+        assert cli.main(["eval", "--ckpt", str(wide), "--data", str(data_dir),
+                         "--out", str(tmp_path / "eval")]) == 0
+        capsys.readouterr()
 
     def test_dataset_manifest_missing_key_exits_3_and_names_it(self, data_dir,
                                                               tmp_path, capsys):

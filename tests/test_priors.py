@@ -9,37 +9,39 @@ from daplab.tensor import Tensor
 
 class TestOneHot:
     def test_rows_are_standard_basis(self):
-        e = priors.build_one_hot(3)
-        np.testing.assert_array_equal(e.vectors, np.eye(3))
-        assert e.kind == "one_hot" and e.dim == 3
+        e = priors.build_one_hot()
+        np.testing.assert_array_equal(e.vectors, np.eye(NUM_CLASSES))
+        assert e.kind == "one_hot" and e.dim == NUM_CLASSES
 
     def test_distinct_rows_orthogonal(self):
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         gram = e.vectors @ e.vectors.T
         np.testing.assert_array_equal(gram, np.eye(NUM_CLASSES))
 
     def test_unit_norms(self):
-        e = priors.build_one_hot(5)
-        np.testing.assert_array_equal(np.linalg.norm(e.vectors, axis=1), np.ones(5))
+        e = priors.build_one_hot()
+        np.testing.assert_array_equal(np.linalg.norm(e.vectors, axis=1),
+                                      np.ones(NUM_CLASSES))
 
 
 class TestRandom:
     def test_unit_norms(self):
-        e = priors.build_random(6, 300, seed=0)
+        e = priors.build_random(300, seed=0)
+        assert e.vectors.shape == (NUM_CLASSES, 300)
         np.testing.assert_allclose(np.linalg.norm(e.vectors, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_per_seed(self):
-        a = priors.build_random(6, 64, seed=9)
-        b = priors.build_random(6, 64, seed=9)
+        a = priors.build_random(64, seed=9)
+        b = priors.build_random(64, seed=9)
         np.testing.assert_array_equal(a.vectors, b.vectors)
-        assert (a.vectors != priors.build_random(6, 64, seed=10).vectors).any()
+        assert (a.vectors != priors.build_random(64, seed=10).vectors).any()
 
     def test_high_dimensional_rows_nearly_orthogonal(self):
         acc = []
         for seed in range(20):
-            v = priors.build_random(6, 300, seed=seed).vectors
+            v = priors.build_random(300, seed=seed).vectors
             gram = np.abs(v @ v.T)
-            acc.append(gram[~np.eye(6, dtype=bool)].mean())
+            acc.append(gram[~np.eye(NUM_CLASSES, dtype=bool)].mean())
         assert np.mean(acc) < 0.15
 
 
@@ -101,7 +103,7 @@ class TestVectorFiles:
 
 class TestProj:
     def test_uniform_map_carries_single_vector(self):
-        e = priors.build_random(NUM_CLASSES, 8, seed=2)
+        e = priors.build_random(8, seed=2)
         labels = np.full((4, 5), 3, dtype=np.uint8)
         out = priors.proj(labels, e)
         assert out.shape == (1, 8, 4, 5)
@@ -111,7 +113,7 @@ class TestProj:
 
     def test_two_by_two_layout(self):
         # label map [[1,1],[2,3]] pastes e_1, e_1, e_2, e_3
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         labels = np.array([[1, 1], [2, 3]], dtype=np.uint8)
         out = priors.proj(labels, e).data[0]
         np.testing.assert_array_equal(out[:, 0, 0], e.row(1))
@@ -121,7 +123,7 @@ class TestProj:
 
     def test_random_labels_match_lookup(self):
         rng = np.random.default_rng(3)
-        e = priors.build_random(NUM_CLASSES, 16, seed=4)
+        e = priors.build_random(16, seed=4)
         labels = rng.integers(0, NUM_CLASSES, size=(4, 4)).astype(np.uint8)
         out = priors.proj(labels, e).data[0]
         for y in range(4):
@@ -129,18 +131,18 @@ class TestProj:
                 np.testing.assert_array_equal(out[:, y, x], e.row(labels[y, x]))
 
     def test_ignore_pixels_carry_zero_vector(self):
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         labels = np.array([[0, IGNORE_ID]], dtype=np.uint8)
         out = priors.proj(labels, e).data[0]
         np.testing.assert_array_equal(out[:, 0, 1], np.zeros(NUM_CLASSES))
 
     def test_result_requires_no_grad(self):
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         out = priors.proj(np.zeros((2, 2), dtype=np.uint8), e)
         assert not out.requires_grad and out.op is None
 
     def test_one_hot_channel_sum_is_one_off_ignore(self):
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         labels = np.array([[0, 1], [IGNORE_ID, 5]], dtype=np.uint8)
         sums = priors.proj(labels, e).data[0].sum(axis=0)
         np.testing.assert_array_equal(sums, [[1.0, 1.0], [0.0, 1.0]])
@@ -148,7 +150,7 @@ class TestProj:
 
 class TestDownsample:
     def test_uniform_map_unchanged_both_modes(self):
-        e = priors.build_random(NUM_CLASSES, 8, seed=5)
+        e = priors.build_random(8, seed=5)
         labels = np.full((8, 8), 2, dtype=np.uint8)
         full = priors.proj(labels, e)
         for mode in ("bilinear", "nearest"):
@@ -162,7 +164,7 @@ class TestDownsample:
         # 8 -> 2 samples source coordinate 1.5: bilinear blends pixels 1 and 2,
         # nearest takes pixel 1. A lone class at (2, 2) is therefore visible
         # to bilinear only.
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         labels = np.zeros((8, 8), dtype=np.uint8)
         labels[2, 2] = 5
         full = priors.proj(labels, e)
@@ -172,7 +174,7 @@ class TestDownsample:
         assert nearest.max() == 0.0
 
     def test_nearest_2x_decimation_is_subsampling(self):
-        e = priors.build_random(NUM_CLASSES, 4, seed=6)
+        e = priors.build_random(4, seed=6)
         rng = np.random.default_rng(7)
         labels = rng.integers(0, NUM_CLASSES, size=(8, 10)).astype(np.uint8)
         full = priors.proj(labels, e)
@@ -181,7 +183,7 @@ class TestDownsample:
         np.testing.assert_array_equal(out.data, full.data[:, :, ::2, ::2])
 
     def test_identity_at_full_resolution(self):
-        e = priors.build_random(NUM_CLASSES, 4, seed=8)
+        e = priors.build_random(4, seed=8)
         rng = np.random.default_rng(9)
         labels = rng.integers(0, NUM_CLASSES, size=(6, 6)).astype(np.uint8)
         full = priors.proj(labels, e)
@@ -190,13 +192,13 @@ class TestDownsample:
             np.testing.assert_array_equal(out.data, full.data)
 
     def test_enlarging_rejected(self):
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         full = priors.proj(np.zeros((4, 4), dtype=np.uint8), e)
         with pytest.raises(DimensionError):
             priors.downsample_embedding(full, 8, 8)
 
     def test_unknown_mode_rejected(self):
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         full = priors.proj(np.zeros((4, 4), dtype=np.uint8), e)
         with pytest.raises(InputError):
             priors.downsample_embedding(full, 2, 2, "area")
@@ -204,7 +206,7 @@ class TestDownsample:
 
 class TestFrozenContract:
     def test_vectors_write_protected(self):
-        e = priors.build_one_hot(NUM_CLASSES)
+        e = priors.build_one_hot()
         with pytest.raises(ValueError):
             e.vectors[0, 0] = 2.0
 

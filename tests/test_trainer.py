@@ -1,11 +1,14 @@
 import math
 import os
 import time
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from daplab import analysis
+from daplab import cli
 from daplab import datagen as dg
 from daplab import model as md
 from daplab import tensor as tc
@@ -31,14 +34,42 @@ def small_config(**overrides):
     return tr.TrainConfig(**defaults)
 
 
+def non_default_value(field, kind):
+    """A valid value other than the field's default, chosen by its type."""
+    choices = {"prior": "random", "interp": "nearest"}
+    if field.name in choices:
+        return choices[field.name]
+    if kind is bool:
+        return not field.default
+    if kind is int:
+        return field.default + 1
+    if kind is float:
+        return field.default / 2
+    return "vectors.txt"
+
+
+# `daplab train` options that are not TrainConfig fields
+RUN_OPTIONS = {"data", "out", "config", "no_dap", "resume"}
+
+
 class TestConfig:
     def test_round_trip_through_file(self, tmp_path):
-        config = tr.TrainConfig(alpha=0.75, ema_lambda=0.5, steps=12,
-                                prior="random", prior_dim=64, interp="nearest",
-                                pseudo_acc_diagnostic=True)
+        kinds = get_type_hints(tr.TrainConfig)
+        values = {f.name: non_default_value(f, kinds[f.name])
+                  for f in fields(tr.TrainConfig)}
+        config = tr.TrainConfig(**values)
+        assert all(values[f.name] != f.default for f in fields(tr.TrainConfig))
         path = tmp_path / "config.txt"
         path.write_text(tr.config_to_text(config))
         assert tr.parse_config(path) == config
+
+        # no flag left unset on the command line overrides a file value, and
+        # every flag reaches a config field or is a run option
+        args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o",
+                                              "--config", str(path)])
+        assert cli._train_config(args) == config
+        dests = set(vars(args)) - {"command", "func"}
+        assert dests <= {f.name for f in fields(tr.TrainConfig)} | RUN_OPTIONS
 
     def test_lambda_key_spelling(self, tmp_path):
         assert "lambda = 0.99" in tr.config_to_text(tr.TrainConfig())
@@ -58,6 +89,10 @@ class TestConfig:
             tr.TrainConfig(alpha=-1.0)
         with pytest.raises(InputError):
             tr.TrainConfig(ema_lambda=1.5)
+        for bad in (dict(checkpoint_every=-1), dict(heldout_source=-1),
+                    dict(prior="clip"), dict(interp="cubic")):
+            with pytest.raises(InputError, match=next(iter(bad))):
+                tr.TrainConfig(**bad)
 
 
 class TestPseudoLabel:
@@ -105,7 +140,7 @@ class TestDapLoss:
         rng = np.random.default_rng(2)
         image = rng.uniform(size=(3, 16, 16))
         labels = rng.integers(0, NUM_CLASSES, (16, 16)).astype(np.uint8)
-        loss = dap_loss(state, image, labels, build_one_hot(NUM_CLASSES))
+        loss = dap_loss(state, image, labels, build_one_hot())
         assert loss.item() == 0.0
 
     def test_invariant_to_joint_class_permutation(self):
@@ -113,15 +148,14 @@ class TestDapLoss:
         rng = np.random.default_rng(4)
         image = rng.uniform(size=(3, 16, 16))
         labels = rng.integers(0, NUM_CLASSES, (16, 16)).astype(np.uint8)
-        embeddings = build_one_hot(NUM_CLASSES)
+        embeddings = build_one_hot()
 
         perm = np.array([2, 0, 4, 1, 5, 3])
         permuted_labels = perm[labels].astype(np.uint8)
         inverse = np.argsort(perm)
         permuted_vectors = embeddings.vectors[inverse]
         from daplab.priors import EmbeddingSet
-        permuted = EmbeddingSet("one_hot", NUM_CLASSES,
-                                permuted_vectors.copy(), embeddings.class_names)
+        permuted = EmbeddingSet("one_hot", NUM_CLASSES, permuted_vectors.copy())
 
         base = dap_loss(state, image, labels, embeddings).item()
         swapped = dap_loss(state, image, permuted_labels, permuted).item()
@@ -132,7 +166,7 @@ class TestDapLoss:
         rng = np.random.default_rng(6)
         image = rng.uniform(size=(3, 16, 16))
         labels = rng.integers(0, NUM_CLASSES, (16, 16)).astype(np.uint8)
-        loss = dap_loss(state, image, labels, build_random(NUM_CLASSES, 16, 7))
+        loss = dap_loss(state, image, labels, build_random(16, 7))
         tc.backward(loss)
         assert state.params["gpr.conv"].grad is not None
         assert state.params["gvi.conv"].grad is not None
@@ -144,7 +178,7 @@ class TestDapLoss:
         rng = np.random.default_rng(9)
         image = rng.uniform(size=(3, 8, 8))
         labels = rng.integers(0, NUM_CLASSES, (8, 8)).astype(np.uint8)
-        embeddings = build_one_hot(NUM_CLASSES)
+        embeddings = build_one_hot()
 
         loss = dap_loss(state, image, labels, embeddings)
         tc.backward(loss)
@@ -204,7 +238,7 @@ class TestRun:
         lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert lines == [tr.METRICS_HEADER]
         arrays = md.load_checkpoint(tmp_path / "run" / "student_final.ckpt")
-        fresh = md.init_student(config.seed, NUM_CLASSES, NUM_CLASSES)
+        fresh = md.init_student(config.seed)
         for name, arr in arrays.items():
             np.testing.assert_array_equal(arr, fresh.params[name].data)
         assert result.best_step == 0
@@ -292,6 +326,17 @@ class TestRun:
         for name, arr in md.load_checkpoint(out / "student_final.ckpt").items():
             np.testing.assert_array_equal(arr, final[name])
         assert straight.final_miou == resumed.final_miou
+
+    def test_resume_names_a_record_the_state_checkpoint_lacks(self, bundle, tmp_path):
+        config = small_config(steps=8, checkpoint_every=4)
+        out = tmp_path / "run"
+        tr.run(config, bundle, out)
+        state = out / "checkpoints" / "state_000008.ckpt"
+        arrays = md.load_checkpoint(state)
+        del arrays["velocity.gpr.conv"]
+        md.save_checkpoint(state, arrays)
+        with pytest.raises(InputError, match="velocity.gpr.conv"):
+            tr.run(config, bundle, out, resume=True)
 
     def test_resume_rejects_changed_config(self, bundle, tmp_path):
         config = small_config(steps=4, checkpoint_every=2)

@@ -185,12 +185,15 @@ def _run_cell(payload) -> tuple:
 
 
 def worker_cap() -> int:
+    """DAP_LAB_THREADS, or else the number of CPUs this process may run on."""
     env = os.environ.get("DAP_LAB_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise InputError(f"DAP_LAB_THREADS must be an integer, got {env!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -227,25 +230,25 @@ def cmd_sweep(args) -> int:
     if args.alphas:
         label = "alpha"
         try:
-            values = [float(v) for v in args.alphas.split(",") if v]
+            values = list(dict.fromkeys(float(v) for v in args.alphas.split(",") if v))
         except ValueError:
             raise InputError(f"bad --alphas list: {args.alphas!r}")
         make = lambda v, s: replace(base, alpha=v, seed=s)
     else:
         label = "prior"
-        values = [v.strip() for v in args.priors.split(",") if v.strip()]
+        values = list(dict.fromkeys(v.strip() for v in args.priors.split(",") if v.strip()))
         make = lambda v, s: replace(base, prior=v, seed=s)
 
+    # a rejected grid or dataset leaves no output directory behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bundle = DatasetBundle(args.data)
-
     jobs = []
     for value in values:
         for seed in range(args.seeds):
             config = make(value, seed)
             cell_dir = out / "cells" / f"{label}_{value}_seed{seed}"
             jobs.append((label, value, seed, config, str(args.data), str(cell_dir)))
+    out.mkdir(parents=True, exist_ok=True)
 
     workers = min(worker_cap(), len(jobs))
     started = time.perf_counter()

@@ -20,20 +20,16 @@ from .tensor import Tensor, bilinear_resize, nearest_resize
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    kind: str               # one_hot | random | loaded
     dim: int
     vectors: np.ndarray     # [NUM_CLASSES, dim] float64 in CLASS_NAMES order, write-protected
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
 
-    def row(self, class_id: int) -> np.ndarray:
-        return self.vectors[class_id]
-
 
 def build_one_hot() -> EmbeddingSet:
     """Standard basis vectors, one per class."""
-    return EmbeddingSet("one_hot", NUM_CLASSES, np.eye(NUM_CLASSES))
+    return EmbeddingSet(NUM_CLASSES, np.eye(NUM_CLASSES))
 
 
 def build_random(dim: int, seed: int) -> EmbeddingSet:
@@ -43,7 +39,7 @@ def build_random(dim: int, seed: int) -> EmbeddingSet:
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((NUM_CLASSES, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return EmbeddingSet("random", dim, rows)
+    return EmbeddingSet(dim, rows)
 
 
 def load_vectors(path) -> EmbeddingSet:
@@ -89,7 +85,7 @@ def load_vectors(path) -> EmbeddingSet:
                 break
         else:
             raise InputError(f"class {name} unresolved in {path}")
-    return EmbeddingSet("loaded", dim, np.stack(rows))
+    return EmbeddingSet(dim, np.stack(rows))
 
 
 def save_vectors(path, embeddings: EmbeddingSet) -> None:

@@ -5,7 +5,6 @@ manifest) lives here too."""
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -199,10 +198,10 @@ def train_supervised(items, steps: int, seed: int) -> md.ModelState:
 
 
 class Trainer:
-    """Owns the student/teacher pair, the optimizer, and the split rng
-    streams (data order, subset sampling, augmentation). Streams are
-    separate so toggling the prior loss cannot desynchronize a baseline
-    comparison."""
+    """Owns the student/teacher pair and the optimizer. Each step draws its
+    data order, class subset and augmentation from a generator keyed by
+    (seed, step), so a train state holds no generator and toggling the prior
+    loss cannot desynchronize a baseline comparison."""
 
     def __init__(self, config: TrainConfig, bundle: DatasetBundle):
         self.config = config
@@ -214,12 +213,6 @@ class Trainer:
         self.student = md.init_student(config.seed, prior_dim=self.embeddings.dim)
         self.teacher = md.make_teacher(self.student)
         self.optimizer = make_optimizer(self.student, config.lr)
-
-        root = np.random.SeedSequence(config.seed)
-        order_ss, subset_ss, augment_ss = root.spawn(3)
-        self.order_rng = np.random.default_rng(order_ss)
-        self.subset_rng = np.random.default_rng(subset_ss)
-        self.augment_rng = np.random.default_rng(augment_ss)
 
         if config.heldout_source >= bundle.n_source:
             raise InputError("heldout_source leaves no training images")
@@ -238,15 +231,18 @@ class Trainer:
         cfg = self.config
         step = self.step_index
 
-        source_index = int(self.order_rng.integers(self.n_train_source))
-        target_index = int(self.order_rng.integers(self.bundle.n_target))
+        # a spawn key, unlike default_rng((seed, step)), keeps step i's draws
+        # apart from those of scene i made with the same seed
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(step,)))
+        source_index = int(rng.integers(self.n_train_source))
+        target_index = int(rng.integers(self.bundle.n_target))
         source = self.bundle.source(source_index)
         target_image = self.bundle.target_image(target_index)
 
         pseudo = pseudo_label(self.teacher, target_image)
-        subset = mixing.sample_class_subset(source.labels, self.subset_rng)
+        subset = mixing.sample_class_subset(source.labels, rng)
         mixed = mixing.classmix(source, target_image, pseudo, subset)
-        mixed = mixing.augment_mixed(mixed, self.augment_rng, JITTER_STRENGTH, BLUR_SIGMA)
+        mixed = mixing.augment_mixed(mixed, rng, JITTER_STRENGTH, BLUR_SIGMA)
 
         batch = Tensor(np.stack([source.image, mixed.image]))
         out = md.forward(self.student, batch)
@@ -287,7 +283,7 @@ class Trainer:
     # -- train-state persistence -----------------------------------------------
 
     def _state_arrays(self) -> dict:
-        arrays = {}
+        arrays = {"step": np.array([self.step_index], dtype=np.float64)}
         for name, p in self.student.named():
             arrays[f"student.{name}"] = p.data
         for name, p in self.teacher.named():
@@ -296,32 +292,21 @@ class Trainer:
             arrays[f"velocity.{name}"] = v
         return arrays
 
-    def save_train_state(self, ckpt_path, rng_path) -> None:
+    def save_train_state(self, ckpt_path) -> None:
         md.save_checkpoint(ckpt_path, self._state_arrays())
-        states = {
-            "step": self.step_index,
-            "order": self.order_rng.bit_generator.state,
-            "subset": self.subset_rng.bit_generator.state,
-            "augment": self.augment_rng.bit_generator.state,
-        }
-        md.write_atomic(rng_path, json.dumps(states).encode("utf-8"))
 
-    def load_train_state(self, ckpt_path, rng_path) -> None:
+    def load_train_state(self, ckpt_path) -> None:
         arrays = md.load_checkpoint(ckpt_path)
         missing = [name for name in self._state_arrays() if name not in arrays]
         if missing:
             raise InputError(f"{ckpt_path}: train state lacks {', '.join(missing)}")
+        self.step_index = int(arrays["step"][0])
         for name, p in self.student.named():
             p.data = arrays[f"student.{name}"]
         for name, p in self.teacher.named():
             p.data = arrays[f"teacher.{name}"]
         for name in self.optimizer.velocity:
             self.optimizer.velocity[name] = arrays[f"velocity.{name}"]
-        states = json.loads(Path(rng_path).read_text(encoding="utf-8"))
-        self.step_index = int(states["step"])
-        for rng, key in ((self.order_rng, "order"), (self.subset_rng, "subset"),
-                         (self.augment_rng, "augment")):
-            rng.bit_generator.state = states[key]
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +324,8 @@ class RunResult:
 
 
 def _latest_state(checkpoint_dir: Path):
-    """The newest `state_*.ckpt` that has its `.rng.json` sidecar, as a
-    (checkpoint, sidecar) pair, or None."""
-    for ckpt in sorted(checkpoint_dir.glob("state_*.ckpt"), reverse=True):
-        rng_path = ckpt.with_suffix(".rng.json")
-        if rng_path.exists():
-            return ckpt, rng_path
-    return None
+    """The newest `state_*.ckpt`, or None."""
+    return max(checkpoint_dir.glob("state_*.ckpt"), default=None)
 
 
 def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
@@ -376,18 +356,27 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
     if resume:
         latest = _latest_state(checkpoints)
         if latest is not None:
-            trainer.load_train_state(*latest)
+            trainer.load_train_state(latest)
             start_step = trainer.step_index
             if best_file.exists():
-                parts = best_file.read_text().split()
-                best_step, best_score = int(parts[0]), float(parts[1])
+                text = best_file.read_text(encoding="utf-8")
+                try:
+                    step_text, score_text = text.split()
+                    best_step, best_score = int(step_text), float(score_text)
+                except ValueError:
+                    raise InputError(f"{best_file}: expected '<step> <score>', "
+                                     f"got {text.strip()!r}") from None
     if start_step == 0:
         metrics_path.write_text(METRICS_HEADER + "\n", encoding="utf-8")
     else:
         # drop any step lines past the checkpoint so the log matches an
         # uninterrupted run exactly
-        kept = metrics_path.read_text(encoding="utf-8").splitlines()[:start_step + 1]
-        metrics_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        try:
+            lines = metrics_path.read_text(encoding="utf-8").splitlines()
+        except OSError as failure:
+            raise InputError(f"{metrics_path}: cannot read the step log "
+                             f"({failure.strerror})") from None
+        metrics_path.write_text("\n".join(lines[:start_step + 1]) + "\n", encoding="utf-8")
 
     def heldout_score() -> float:
         if not heldout:
@@ -417,14 +406,14 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
             if config.checkpoint_every and done % config.checkpoint_every == 0 \
                     and done < config.steps:
                 state_path = checkpoints / f"state_{done:06d}.ckpt"
-                trainer.save_train_state(state_path, state_path.with_suffix(".rng.json"))
+                trainer.save_train_state(state_path)
                 consider_best(done)
     t_train = time.perf_counter() - t_train_start
 
     final_path = out / "student_final.ckpt"
     md.save_checkpoint(final_path, trainer.student.data_arrays())
     state_path = checkpoints / f"state_{config.steps:06d}.ckpt"
-    trainer.save_train_state(state_path, state_path.with_suffix(".rng.json"))
+    trainer.save_train_state(state_path)
     consider_best(config.steps)
     if best_step < 0:  # no heldout split: the final model is the best model
         best_step = config.steps

@@ -14,11 +14,14 @@ def test_probes_install_and_restore_every_binding(monkeypatch):
     import timing
     import tracer
 
-    originals = (tensor.conv2d, tensor.SGD.step, trainer.pseudo_label, analysis.evaluate)
+    def bindings():
+        return (tensor.conv2d, tensor.SGD.step, trainer.pseudo_label, analysis.evaluate,
+                trainer.Trainer.save_train_state, trainer.Trainer.train_step)
+
+    originals = bindings()
     for probe in (tracer.Tracer(), timing.StepTimer()):
         try:
             probe.install()
         finally:
             probe.uninstall()
-    restored = (tensor.conv2d, tensor.SGD.step, trainer.pseudo_label, analysis.evaluate)
-    assert all(now is before for now, before in zip(restored, originals))
+    assert all(now is before for now, before in zip(bindings(), originals))

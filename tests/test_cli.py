@@ -234,7 +234,28 @@ class TestSweep:
                          "--heldout-source", "0"])
         assert code == 3
         assert "clip" in capsys.readouterr().err
-        assert not (out / "cells").exists()
+        assert not out.exists()
+
+    def test_repeated_values_run_once(self, data_dir, tmp_path):
+        out = tmp_path / "sweep_repeated"
+        assert cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--alphas", "1,1.0,0.5", "--seeds", "1", "--steps", "2",
+                         "--heldout-source", "0"]) == 0
+        table = (out / "sweep_table.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in table] == ["1.0", "0.5"]
+        assert all(line.split(",")[3:] == ["1", "0"] for line in table)
+        assert len((out / "sweep_cells.csv").read_text().splitlines()) == 3
+        assert dg.parse_manifest(out / "run_manifest.txt")["n_cells"] == "2"
+
+    def test_worker_cap_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("DAP_LAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli.worker_cap() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli.worker_cap() == 2
+        monkeypatch.setenv("DAP_LAB_THREADS", "3")
+        assert cli.worker_cap() == 3
 
     def test_both_axes_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["sweep", "--data", str(data_dir),

@@ -11,7 +11,7 @@ class TestOneHot:
     def test_rows_are_standard_basis(self):
         e = priors.build_one_hot()
         np.testing.assert_array_equal(e.vectors, np.eye(NUM_CLASSES))
-        assert e.kind == "one_hot" and e.dim == NUM_CLASSES
+        assert e.dim == NUM_CLASSES
 
     def test_distinct_rows_orthogonal(self):
         e = priors.build_one_hot()
@@ -62,7 +62,7 @@ class TestVectorFiles:
     def test_parse_contract(self, tmp_path):
         path = self.write(tmp_path, CLASS_NAMES, dim=300)
         e = priors.load_vectors(path)
-        assert e.kind == "loaded" and e.dim == 300
+        assert e.dim == 300
         assert e.vectors.shape == (NUM_CLASSES, 300)
 
     def test_missing_class_named_in_error(self, tmp_path):
@@ -109,17 +109,17 @@ class TestProj:
         assert out.shape == (1, 8, 4, 5)
         for y in range(4):
             for x in range(5):
-                np.testing.assert_array_equal(out.data[0, :, y, x], e.row(3))
+                np.testing.assert_array_equal(out.data[0, :, y, x], e.vectors[3])
 
     def test_two_by_two_layout(self):
         # label map [[1,1],[2,3]] pastes e_1, e_1, e_2, e_3
         e = priors.build_one_hot()
         labels = np.array([[1, 1], [2, 3]], dtype=np.uint8)
         out = priors.proj(labels, e).data[0]
-        np.testing.assert_array_equal(out[:, 0, 0], e.row(1))
-        np.testing.assert_array_equal(out[:, 0, 1], e.row(1))
-        np.testing.assert_array_equal(out[:, 1, 0], e.row(2))
-        np.testing.assert_array_equal(out[:, 1, 1], e.row(3))
+        np.testing.assert_array_equal(out[:, 0, 0], e.vectors[1])
+        np.testing.assert_array_equal(out[:, 0, 1], e.vectors[1])
+        np.testing.assert_array_equal(out[:, 1, 0], e.vectors[2])
+        np.testing.assert_array_equal(out[:, 1, 1], e.vectors[3])
 
     def test_random_labels_match_lookup(self):
         rng = np.random.default_rng(3)
@@ -128,7 +128,7 @@ class TestProj:
         out = priors.proj(labels, e).data[0]
         for y in range(4):
             for x in range(4):
-                np.testing.assert_array_equal(out[:, y, x], e.row(labels[y, x]))
+                np.testing.assert_array_equal(out[:, y, x], e.vectors[labels[y, x]])
 
     def test_ignore_pixels_carry_zero_vector(self):
         e = priors.build_one_hot()
@@ -157,7 +157,7 @@ class TestDownsample:
             out = priors.downsample_embedding(full, 2, 2, mode)
             for y in range(2):
                 for x in range(2):
-                    np.testing.assert_allclose(out.data[0, :, y, x], e.row(2),
+                    np.testing.assert_allclose(out.data[0, :, y, x], e.vectors[2],
                                                atol=1e-12)
 
     def test_minority_pixel_survives_bilinear_not_nearest(self):
@@ -211,7 +211,8 @@ class TestFrozenContract:
             e.vectors[0, 0] = 2.0
 
     def test_make_embeddings_dispatch(self, tmp_path):
-        assert priors.make_embeddings("onehot").kind == "one_hot"
+        np.testing.assert_array_equal(priors.make_embeddings("onehot").vectors,
+                                      np.eye(NUM_CLASSES))
         assert priors.make_embeddings("random", dim=32, seed=1).dim == 32
         with pytest.raises(InputError):
             priors.make_embeddings("file")

@@ -155,7 +155,7 @@ class TestDapLoss:
         inverse = np.argsort(perm)
         permuted_vectors = embeddings.vectors[inverse]
         from daplab.priors import EmbeddingSet
-        permuted = EmbeddingSet("one_hot", NUM_CLASSES, permuted_vectors.copy())
+        permuted = EmbeddingSet(NUM_CLASSES, permuted_vectors.copy())
 
         base = dap_loss(state, image, labels, embeddings).item()
         swapped = dap_loss(state, image, permuted_labels, permuted).item()
@@ -264,11 +264,10 @@ class TestRun:
         for _ in range(10):
             first.train_step()
         ckpt = tmp_path / "state.ckpt"
-        rngs = tmp_path / "state.rng.json"
-        first.save_train_state(ckpt, rngs)
+        first.save_train_state(ckpt)
 
         second = tr.Trainer(config, bundle)
-        second.load_train_state(ckpt, rngs)
+        second.load_train_state(ckpt)
         assert second.step_index == 10
         for _ in range(10):
             second.train_step()
@@ -295,7 +294,7 @@ class TestRun:
                 log.write(f"{r.step},{r.l_seg!r},{r.l_dap!r},{r.l_overall!r},"
                           f"{r.pseudo_acc!r},{r.lr!r}\n")
         state = interrupted_dir / "checkpoints" / "state_000008.ckpt"
-        trainer.save_train_state(state, state.with_suffix(".rng.json"))
+        trainer.save_train_state(state)
 
         resumed = tr.run(short, bundle, interrupted_dir, resume=True)
         a = md.load_checkpoint(tmp_path / "straight" / "student_final.ckpt")
@@ -306,16 +305,15 @@ class TestRun:
             (interrupted_dir / "metrics.csv").read_text()
         assert straight.final_miou == resumed.final_miou
 
-    def test_resume_skips_a_checkpoint_without_its_sidecar(self, bundle, tmp_path,
-                                                           monkeypatch):
+    def test_resume_continues_from_the_newest_state_checkpoint(self, bundle, tmp_path,
+                                                               monkeypatch):
         config = small_config(steps=8, checkpoint_every=4)
         out = tmp_path / "run"
         straight = tr.run(config, bundle, out)
         final = md.load_checkpoint(out / "student_final.ckpt")
         checkpoints = out / "checkpoints"
-        (checkpoints / "state_000008.rng.json").unlink()
-        assert tr._latest_state(checkpoints) == (checkpoints / "state_000004.ckpt",
-                                                 checkpoints / "state_000004.rng.json")
+        (checkpoints / "state_000008.ckpt").unlink()
+        assert tr._latest_state(checkpoints) == checkpoints / "state_000004.ckpt"
 
         steps_run = []
         train_step = tr.Trainer.train_step
@@ -332,10 +330,26 @@ class TestRun:
         out = tmp_path / "run"
         tr.run(config, bundle, out)
         state = out / "checkpoints" / "state_000008.ckpt"
-        arrays = md.load_checkpoint(state)
-        del arrays["velocity.gpr.conv"]
-        md.save_checkpoint(state, arrays)
-        with pytest.raises(InputError, match="velocity.gpr.conv"):
+        complete = md.load_checkpoint(state)
+        # "step" is also what a state checkpoint written before the step
+        # record existed lacks
+        for record in ("velocity.gpr.conv", "step"):
+            arrays = dict(complete)
+            del arrays[record]
+            md.save_checkpoint(state, arrays)
+            with pytest.raises(InputError, match=f"lacks {record}$"):
+                tr.run(config, bundle, out, resume=True)
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda out: (out / "metrics.csv").unlink(), "metrics.csv"),
+        (lambda out: (out / "best.txt").write_text("garbage\n"), "best.txt"),
+    ], ids=["missing-metrics", "garbage-best"])
+    def test_resume_names_an_unreadable_run_file(self, bundle, tmp_path, damage, named):
+        config = small_config(steps=8, checkpoint_every=4)
+        out = tmp_path / "run"
+        tr.run(config, bundle, out)
+        damage(out)
+        with pytest.raises(InputError, match=named):
             tr.run(config, bundle, out, resume=True)
 
     def test_resume_rejects_changed_config(self, bundle, tmp_path):
@@ -379,14 +393,14 @@ class TestRun:
         entries = dg.parse_manifest(tmp_path / "run" / "run_manifest.txt")
         assert float(entries["wallclock.setup"]) >= 0.02
 
-    @pytest.mark.parametrize("failing", [".ckpt", ".rng.json"])
+    @pytest.mark.parametrize("failing", [".ckpt"])
     def test_failed_rename_leaves_no_partial_state(self, bundle, tmp_path,
                                                    monkeypatch, failing):
         trainer = tr.Trainer(small_config(), bundle)
         old = tmp_path / "old" / "state_000001.ckpt"
         old.parent.mkdir()
-        trainer.save_train_state(old, old.with_suffix(".rng.json"))
-        before = {p.name: p.read_bytes() for p in old.parent.iterdir()}
+        trainer.save_train_state(old)
+        before = old.read_bytes()
         trainer.train_step()
 
         replace = os.replace
@@ -401,14 +415,12 @@ class TestRun:
         new.parent.mkdir()
         for target in (old, new):
             with pytest.raises(OSError):
-                trainer.save_train_state(target, target.with_suffix(".rng.json"))
+                trainer.save_train_state(target)
 
-        assert not [p for p in new.parent.iterdir() if p.name.endswith(failing)]
-        assert not list(new.parent.glob(".*")) and not list(old.parent.glob(".*"))
+        assert not list(new.parent.iterdir())
+        assert not list(old.parent.glob(".*"))
         assert tr._latest_state(new.parent) is None
-        for name, data in before.items():
-            if name.endswith(failing):
-                assert (old.parent / name).read_bytes() == data
+        assert old.read_bytes() == before
 
 
 class TripwireBundle(DatasetBundle):

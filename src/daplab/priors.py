@@ -111,8 +111,9 @@ def proj(labels: np.ndarray, embeddings: EmbeddingSet) -> Tensor:
     idx = np.where(labels == IGNORE_ID, NUM_CLASSES, labels).astype(np.int64)
     if idx.max() > NUM_CLASSES:
         raise InputError("label id outside the embedding table")
-    grid = lookup[idx]                                   # [N,H,W,D]
-    return Tensor(np.ascontiguousarray(grid.transpose(0, 3, 1, 2)))
+    # gathered channels-first, so no [N,H,W,D] map is built and transposed
+    grid = np.take(np.ascontiguousarray(lookup.T), idx, axis=1)       # [D,N,H,W]
+    return Tensor(grid.transpose(1, 0, 2, 3))
 
 
 def downsample_embedding(embedding_map: Tensor, out_h: int, out_w: int,

@@ -68,16 +68,22 @@ class Tensor:
 
 
 class OpRecord:
-    """One forward step: op kind, input tensors, output tensor, and the
-    function mapping the output gradient to per-input gradients."""
+    """One forward step: op kind, input tensors, the id of the output tensor,
+    and the function mapping the output gradient to per-input gradients.
 
-    __slots__ = ("kind", "inputs", "output", "backward_fn")
+    The record keeps the output's id, not the output: the output holds the
+    record as `op`, so a reference back would make every graph a cycle that
+    only the cyclic garbage collector frees, at a time that depends on
+    unrelated allocations. The id is unique while the record lives, since
+    only its output refers to it."""
+
+    __slots__ = ("kind", "inputs", "output_id", "backward_fn")
 
     def __init__(self, kind: str, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
         self.kind = kind
         self.inputs = tuple(inputs)
-        self.output = output
+        self.output_id = id(output)
         self.backward_fn = backward_fn
 
 
@@ -124,7 +130,7 @@ def backward(loss: Tensor) -> None:
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for record in reversed(nodes):
-        upstream = flowing.pop(id(record.output), None)
+        upstream = flowing.pop(record.output_id, None)
         if upstream is None:
             continue
         for tensor_in, grad_in in zip(record.inputs, record.backward_fn(upstream)):
@@ -258,17 +264,22 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]                          # [N,Cin,Ho,Wo,kh,kw]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, ho * wo)
+
+    def columns():
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride]                      # [N,Cin,Ho,Wo,kh,kw]
+        return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, ho * wo)
+
     kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = (kmat @ cols).reshape(n, cout, ho, wo)
+    out = (kmat @ columns()).reshape(n, cout, ho, wo)
 
     def back(g):
         g3 = g.reshape(n, cout, ho * wo)
         dk = dx = None
         if kernel.requires_grad:
-            dk = (g3 @ cols.transpose(0, 2, 1)).sum(0).reshape(cout, cin, kh, kw)
+            # built again rather than kept: a graph holds each conv's input,
+            # not columns kh*kw times its size, from forward to backward
+            dk = (g3 @ columns().transpose(0, 2, 1)).sum(0).reshape(cout, cin, kh, kw)
         if x.requires_grad:
             dcols = (kmat.T @ g3).reshape(n, cin, kh, kw, ho, wo)
             dxp = np.zeros((n, cin, hp, wp))

@@ -130,6 +130,16 @@ class TestProj:
             for x in range(4):
                 np.testing.assert_array_equal(out[:, y, x], e.vectors[labels[y, x]])
 
+    def test_batch_matches_each_image(self):
+        rng = np.random.default_rng(5)
+        e = priors.build_random(16, seed=6)
+        labels = rng.integers(0, NUM_CLASSES, size=(3, 4, 5)).astype(np.uint8)
+        labels[1, 2, 3] = IGNORE_ID
+        out = priors.proj(labels, e).data
+        assert out.shape == (3, 16, 4, 5) and out.flags["C_CONTIGUOUS"]
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], priors.proj(labels[i], e).data[0])
+
     def test_ignore_pixels_carry_zero_vector(self):
         e = priors.build_one_hot()
         labels = np.array([[0, IGNORE_ID]], dtype=np.uint8)

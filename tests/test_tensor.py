@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -394,6 +395,22 @@ class TestBackward:
         with tc.no_grad():
             out = tc.relu(x)
         assert out.op is None and not out.requires_grad
+
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self):
+        # a graph that only the cyclic collector frees stays alive for an
+        # allocation-dependent number of steps, and with it every activation
+        rng = np.random.default_rng(14)
+        x = tc.Tensor(rng.normal(size=(1, 3, 8, 8)))
+        k1 = tc.Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        k2 = tc.Tensor(rng.normal(size=(3, 4, 1, 1)), requires_grad=True)
+        labels = rng.integers(0, 3, size=(1, 8, 8))
+        gc.collect()
+        gc.disable()
+        try:
+            tc.backward(two_layer_loss(x, k1, k2, labels))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_shared_weight_grad_sums_both_uses(self):
         w = tc.Tensor([2.0], requires_grad=True)

@@ -82,8 +82,13 @@ class StepRecord:
     pseudo_acc: float
     lr: float
 
+    def csv_line(self) -> str:
+        """The record's line in metrics.csv: each field's repr, which reads
+        back as the same float."""
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self)) + "\n"
 
-METRICS_HEADER = "step,l_seg,l_dap,l_overall,pseudo_acc,lr"
+
+METRICS_HEADER = ",".join(f.name for f in fields(StepRecord))
 
 _CONFIG_FILE_KEYS = {"ema_lambda": "lambda"}
 _CONFIG_FIELD_FOR_KEY = {v: k for k, v in _CONFIG_FILE_KEYS.items()}
@@ -218,6 +223,9 @@ class Trainer:
             raise InputError("heldout_source leaves no training images")
         self.n_train_source = bundle.n_source - config.heldout_source
         self.step_index = 0
+        # the step whose student scored best on the held-out split, and that
+        # score; -1 until the first held-out check
+        self.best_step, self.best_score = -1, -np.inf
 
     # -- data ----------------------------------------------------------------
 
@@ -283,7 +291,9 @@ class Trainer:
     # -- train-state persistence -----------------------------------------------
 
     def _state_arrays(self) -> dict:
-        arrays = {"step": np.array([self.step_index], dtype=np.float64)}
+        arrays = {"step": np.array([self.step_index], dtype=np.float64),
+                  "best_step": np.array([self.best_step], dtype=np.float64),
+                  "best_score": np.array([self.best_score], dtype=np.float64)}
         for name, p in self.student.named():
             arrays[f"student.{name}"] = p.data
         for name, p in self.teacher.named():
@@ -297,10 +307,17 @@ class Trainer:
 
     def load_train_state(self, ckpt_path) -> None:
         arrays = md.load_checkpoint(ckpt_path)
-        missing = [name for name in self._state_arrays() if name not in arrays]
+        expected = self._state_arrays()
+        missing = [name for name in expected if name not in arrays]
         if missing:
             raise InputError(f"{ckpt_path}: train state lacks {', '.join(missing)}")
+        for name, want in expected.items():
+            if arrays[name].shape != want.shape:
+                raise InputError(f"{ckpt_path}: record {name} has shape "
+                                 f"{arrays[name].shape}, expected {want.shape}")
         self.step_index = int(arrays["step"][0])
+        self.best_step = int(arrays["best_step"][0])
+        self.best_score = float(arrays["best_score"][0])
         for name, p in self.student.named():
             p.data = arrays[f"student.{name}"]
         for name, p in self.teacher.named():
@@ -315,12 +332,9 @@ class Trainer:
 
 @dataclass
 class RunResult:
-    final_metrics: analysis.Metrics
-    best_metrics: analysis.Metrics
     best_step: int
     final_miou: float
     best_miou: float
-    out_dir: Path
 
 
 def _latest_state(checkpoint_dir: Path):
@@ -332,7 +346,12 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
         resume: bool = False) -> RunResult:
     """Train for config.steps, checkpointing every checkpoint_every steps,
     then evaluate the final and best-on-heldout students on the target test
-    split. All artifacts land under out_dir and are listed in its manifest."""
+    split. All artifacts land under out_dir and are listed in its manifest.
+
+    The train state is the run's one commit point: each checkpoint writes it
+    last, and it records the best held-out step and score, so `resume`
+    continues a killed run from the newest state and reads no other file
+    for them."""
     t_setup = time.perf_counter()
     out = Path(out_dir)
     checkpoints = out / "checkpoints"
@@ -348,24 +367,12 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
     heldout = trainer.heldout_items()
 
     best_path = out / "best.ckpt"
-    best_file = out / "best.txt"
     metrics_path = out / "metrics.csv"
-    best_step, best_score = -1, -np.inf
 
-    start_step = 0
-    if resume:
-        latest = _latest_state(checkpoints)
-        if latest is not None:
-            trainer.load_train_state(latest)
-            start_step = trainer.step_index
-            if best_file.exists():
-                text = best_file.read_text(encoding="utf-8")
-                try:
-                    step_text, score_text = text.split()
-                    best_step, best_score = int(step_text), float(score_text)
-                except ValueError:
-                    raise InputError(f"{best_file}: expected '<step> <score>', "
-                                     f"got {text.strip()!r}") from None
+    latest = _latest_state(checkpoints) if resume else None
+    if latest is not None:
+        trainer.load_train_state(latest)
+    start_step = trainer.step_index
     if start_step == 0:
         metrics_path.write_text(METRICS_HEADER + "\n", encoding="utf-8")
     else:
@@ -376,20 +383,21 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
         except OSError as failure:
             raise InputError(f"{metrics_path}: cannot read the step log "
                              f"({failure.strerror})") from None
+        if len(lines) < start_step + 1:
+            raise InputError(f"{metrics_path}: the step log ends before step "
+                             f"{start_step}, where the train state resumes")
         metrics_path.write_text("\n".join(lines[:start_step + 1]) + "\n", encoding="utf-8")
 
-    def heldout_score() -> float:
-        if not heldout:
-            return float("nan")
-        return analysis.evaluate(trainer.student, heldout).miou
-
-    def consider_best(step_done: int) -> None:
-        nonlocal best_step, best_score
-        score = heldout_score()
-        if heldout and (score > best_score):
-            best_step, best_score = step_done, score
+    def checkpoint(step_done: int) -> None:
+        """Save best.ckpt when the student beats the best held-out score so
+        far (without a held-out split the final student is the best), then
+        the train state."""
+        score = analysis.evaluate(trainer.student, heldout).miou if heldout else float("nan")
+        unchosen_at_end = step_done == config.steps and trainer.best_step < 0
+        if score > trainer.best_score or unchosen_at_end:
+            trainer.best_step, trainer.best_score = step_done, score
             md.save_checkpoint(best_path, trainer.student.data_arrays())
-            best_file.write_text(f"{best_step} {best_score!r}\n", encoding="utf-8")
+        trainer.save_train_state(checkpoints / f"state_{step_done:06d}.ckpt")
 
     t_train_start = time.perf_counter()
     with metrics_path.open("a", encoding="utf-8") as log:
@@ -400,25 +408,16 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
                 dump = out / "numeric_failure.txt"
                 dump.write_text(f"{failure}\nstep={step}\n", encoding="utf-8")
                 raise
-            log.write(f"{record.step},{record.l_seg!r},{record.l_dap!r},"
-                      f"{record.l_overall!r},{record.pseudo_acc!r},{record.lr!r}\n")
+            log.write(record.csv_line())
             done = step + 1
             if config.checkpoint_every and done % config.checkpoint_every == 0 \
                     and done < config.steps:
-                state_path = checkpoints / f"state_{done:06d}.ckpt"
-                trainer.save_train_state(state_path)
-                consider_best(done)
+                log.flush()  # the log must hold every step the state records
+                checkpoint(done)
     t_train = time.perf_counter() - t_train_start
 
-    final_path = out / "student_final.ckpt"
-    md.save_checkpoint(final_path, trainer.student.data_arrays())
-    state_path = checkpoints / f"state_{config.steps:06d}.ckpt"
-    trainer.save_train_state(state_path)
-    consider_best(config.steps)
-    if best_step < 0:  # no heldout split: the final model is the best model
-        best_step = config.steps
-        md.save_checkpoint(best_path, trainer.student.data_arrays())
-        best_file.write_text(f"{best_step} nan\n", encoding="utf-8")
+    checkpoint(config.steps)
+    md.save_checkpoint(out / "student_final.ckpt", trainer.student.data_arrays())
 
     t_eval_start = time.perf_counter()
     test_items = [bundle.test(i) for i in range(bundle.n_test)]
@@ -436,11 +435,10 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
         "steps": config.steps,
         "final_miou": repr(final_metrics.miou),
         "best_miou": repr(best_metrics.miou),
-        "best_step": best_step,
+        "best_step": trainer.best_step,
         "wallclock.setup": f"{t_train_start - t_setup:.3f}",
         "wallclock.train": f"{t_train:.3f}",
         "wallclock.eval": f"{t_eval:.3f}",
     })
 
-    return RunResult(final_metrics, best_metrics, best_step,
-                     final_metrics.miou, best_metrics.miou, out)
+    return RunResult(trainer.best_step, final_metrics.miou, best_metrics.miou)

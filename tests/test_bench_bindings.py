@@ -16,7 +16,7 @@ def test_probes_install_and_restore_every_binding(monkeypatch):
 
     def bindings():
         return (tensor.conv2d, tensor.SGD.step, trainer.pseudo_label, analysis.evaluate,
-                trainer.Trainer.save_train_state, trainer.Trainer.train_step)
+                trainer.run, trainer.Trainer.save_train_state, trainer.Trainer.train_step)
 
     originals = bindings()
     for probe in (tracer.Tracer(), timing.StepTimer()):

@@ -231,6 +231,34 @@ class TestTrainStep:
             assert records[-1].l_seg < early, f"seed {seed}"
 
 
+def cut_log_behind_state(out):
+    """Leave state_000004.ckpt the newest train state and metrics.csv holding
+    only steps 0 and 1."""
+    (out / "checkpoints" / "state_000008.ckpt").unlink()
+    lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+    (out / "metrics.csv").write_text("".join(lines[:3]))
+
+
+class Killed(BaseException):
+    """Stands in for a kill: no handler in the program catches it."""
+
+
+def kill_in_heldout_evaluation(patch):
+    def killed(*args, **kwargs):
+        raise Killed
+    patch.setattr(analysis, "evaluate", killed)
+
+
+def kill_in_state_write(patch):
+    replace = os.replace
+
+    def killed_at_step_4(src, dst):
+        if str(dst).endswith("state_000004.ckpt"):
+            raise Killed
+        replace(src, dst)
+    patch.setattr(md.os, "replace", killed_at_step_4)
+
+
 class TestRun:
     def test_zero_steps_writes_initialization_checkpoint(self, bundle, tmp_path):
         config = small_config(steps=0)
@@ -290,9 +318,7 @@ class TestRun:
         (interrupted_dir / "metrics.csv").write_text(tr.METRICS_HEADER + "\n")
         with (interrupted_dir / "metrics.csv").open("a") as log:
             for _ in range(8):
-                r = trainer.train_step()
-                log.write(f"{r.step},{r.l_seg!r},{r.l_dap!r},{r.l_overall!r},"
-                          f"{r.pseudo_acc!r},{r.lr!r}\n")
+                log.write(trainer.train_step().csv_line())
         state = interrupted_dir / "checkpoints" / "state_000008.ckpt"
         trainer.save_train_state(state)
 
@@ -304,6 +330,44 @@ class TestRun:
         assert (tmp_path / "straight" / "metrics.csv").read_text() == \
             (interrupted_dir / "metrics.csv").read_text()
         assert straight.final_miou == resumed.final_miou
+
+    @pytest.mark.parametrize("kill", [kill_in_heldout_evaluation, kill_in_state_write],
+                             ids=["heldout-evaluation", "state-write"])
+    def test_run_killed_at_first_checkpoint_resumes_to_same_files(self, bundle, tmp_path,
+                                                                  monkeypatch, kill):
+        # with training seed 1 the held-out score is best at step 4, so a
+        # resume that skipped the step-4 check would choose step 8
+        config = small_config(steps=8, heldout_source=2, checkpoint_every=4, seed=1)
+        straight = tr.run(config, bundle, tmp_path / "straight")
+        assert straight.best_step == 4
+
+        out = tmp_path / "killed"
+        with monkeypatch.context() as patch:
+            kill(patch)
+            with pytest.raises(Killed):
+                tr.run(config, bundle, out)
+        resumed = tr.run(config, bundle, out, resume=True)
+
+        assert resumed.best_step == straight.best_step
+        assert resumed.final_miou == straight.final_miou
+        for name in ("best.ckpt", "metrics.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "straight" / name).read_bytes()
+
+    def test_step_log_on_disk_reaches_each_train_state(self, bundle, tmp_path,
+                                                       monkeypatch):
+        # a kill that skips Python's cleanup loses the log's write buffer; the
+        # steps a train state records must already be in the file
+        out = tmp_path / "run"
+        logged_at_save = []
+        save = tr.Trainer.save_train_state
+
+        def counting_save(self, path):
+            lines = (out / "metrics.csv").read_text().splitlines()
+            logged_at_save.append((self.step_index, len(lines) - 1))
+            save(self, path)
+        monkeypatch.setattr(tr.Trainer, "save_train_state", counting_save)
+        tr.run(small_config(steps=8, checkpoint_every=4), bundle, out)
+        assert logged_at_save == [(4, 4), (8, 8)]
 
     def test_resume_continues_from_the_newest_state_checkpoint(self, bundle, tmp_path,
                                                                monkeypatch):
@@ -332,24 +396,37 @@ class TestRun:
         state = out / "checkpoints" / "state_000008.ckpt"
         complete = md.load_checkpoint(state)
         # "step" is also what a state checkpoint written before the step
-        # record existed lacks
-        for record in ("velocity.gpr.conv", "step"):
+        # record existed lacks, and "best_step" and "best_score" what one
+        # written before the best held-out choice moved into it lacks
+        for record in ("velocity.gpr.conv", "step", "best_step", "best_score"):
             arrays = dict(complete)
             del arrays[record]
             md.save_checkpoint(state, arrays)
             with pytest.raises(InputError, match=f"lacks {record}$"):
                 tr.run(config, bundle, out, resume=True)
 
-    @pytest.mark.parametrize("damage, named", [
-        (lambda out: (out / "metrics.csv").unlink(), "metrics.csv"),
-        (lambda out: (out / "best.txt").write_text("garbage\n"), "best.txt"),
-    ], ids=["missing-metrics", "garbage-best"])
-    def test_resume_names_an_unreadable_run_file(self, bundle, tmp_path, damage, named):
+    def test_resume_names_a_misshapen_state_record(self, bundle, tmp_path):
+        config = small_config(steps=8, checkpoint_every=4)
+        out = tmp_path / "run"
+        tr.run(config, bundle, out)
+        state = out / "checkpoints" / "state_000008.ckpt"
+        arrays = md.load_checkpoint(state)
+        arrays["velocity.head.conv"] = np.zeros((5, 32, 1, 1))
+        md.save_checkpoint(state, arrays)
+        with pytest.raises(InputError, match=r"velocity\.head\.conv has shape "
+                                             r"\(5, 32, 1, 1\), expected \(6, 32, 1, 1\)"):
+            tr.run(config, bundle, out, resume=True)
+
+    @pytest.mark.parametrize("damage", [
+        lambda out: (out / "metrics.csv").unlink(),
+        cut_log_behind_state,
+    ], ids=["missing-metrics", "short-metrics"])
+    def test_resume_names_an_unreadable_run_file(self, bundle, tmp_path, damage):
         config = small_config(steps=8, checkpoint_every=4)
         out = tmp_path / "run"
         tr.run(config, bundle, out)
         damage(out)
-        with pytest.raises(InputError, match=named):
+        with pytest.raises(InputError, match="metrics.csv"):
             tr.run(config, bundle, out, resume=True)
 
     def test_resume_rejects_changed_config(self, bundle, tmp_path):

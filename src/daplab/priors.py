@@ -1,9 +1,12 @@
 """Fixed per-class embedding vectors and the label-to-embedding-map pipeline.
 
 An EmbeddingSet assigns every class one frozen vector that carries no
-information about either visual domain. Label maps are turned into dense
-embedding maps by pasting the class vector at each pixel, then down-sampled
-to feature resolution. No gradient ever reaches the vectors.
+information about either visual domain. `proj` pastes each pixel's class
+vector into a dense map and `downsample_embedding` shrinks a map to feature
+resolution. The training path pastes the one-hot class indicators, shrinks
+them to each feature cell's class fractions, and only then contracts them
+with the class table, so it never builds a full-resolution map as wide
+as the vectors. No gradient ever reaches the vectors.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ def load_vectors(path) -> EmbeddingSet:
         dim = int(header[1])
     except ValueError:
         raise InputError(f"{path}:1: bad dimension {header[1]!r}") from None
+    if dim < 1:
+        raise InputError(f"{path}:1: dimension must be at least 1, got {dim}")
 
     table = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -100,7 +105,9 @@ def proj(labels: np.ndarray, embeddings: EmbeddingSet) -> Tensor:
     """Paste each pixel's class vector into a dense [N,D,H,W] map.
 
     Ignore pixels carry the zero vector. The result is a constant: no
-    gradient flows into the embedding table.
+    gradient flows into the embedding table. Training calls this with the
+    one-hot set only and contracts with the class table after resizing
+    (`trainer.dap_term`); any set works here.
     """
     labels = np.asarray(labels)
     if labels.ndim == 2:

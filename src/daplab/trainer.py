@@ -18,7 +18,7 @@ from . import analysis
 from . import mixing
 from . import model as md
 from . import tensor as tc
-from .priors import EmbeddingSet, downsample_embedding, make_embeddings, proj
+from .priors import EmbeddingSet, build_one_hot, downsample_embedding, make_embeddings, proj
 from .tensor import Tensor
 
 
@@ -159,10 +159,16 @@ def dap_term(student: md.ModelState, projected: Tensor, labels: np.ndarray,
     """Distance between one image's projected visual features [1,P,h,w] and
     the projected embedding map built from `labels`, down-sampled to the
     features' h x w. Gradients reach the backbone and both projectors; the
-    embedding vectors stay frozen."""
+    embedding vectors stay frozen.
+
+    Both resize modes are linear per channel, so the map is built by
+    resizing the one-hot class indicators to h x w first (each cell's class
+    fractions; ignored pixels count for no class) and then contracting them
+    with the class table: no full-size D-channel map is made."""
     fh, fw = projected.shape[2:]
-    emb = downsample_embedding(proj(labels, embeddings), fh, fw, interp)
-    return tc.sum_squared_error(projected, md.project_prior(student, emb))
+    fractions = downsample_embedding(proj(labels, build_one_hot()), fh, fw, interp).data
+    emb = (embeddings.vectors.T @ fractions.reshape(-1, fh * fw)).reshape(1, -1, fh, fw)
+    return tc.sum_squared_error(projected, md.project_prior(student, Tensor(emb)))
 
 
 def make_optimizer(student: md.ModelState, lr: float) -> tc.SGD:

@@ -4,7 +4,7 @@ test suite, not only a traced benchmark run."""
 
 from pathlib import Path
 
-from daplab import analysis, tensor, trainer
+from daplab import analysis, priors, tensor, trainer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -16,7 +16,8 @@ def test_probes_install_and_restore_every_binding(monkeypatch):
 
     def bindings():
         return (tensor.conv2d, tensor.SGD.step, trainer.pseudo_label, analysis.evaluate,
-                trainer.run, trainer.Trainer.save_train_state, trainer.Trainer.train_step)
+                trainer.run, trainer.Trainer.save_train_state, trainer.Trainer.train_step,
+                priors.proj, priors.downsample_embedding)
 
     originals = bindings()
     for probe in (tracer.Tracer(), timing.StepTimer()):

@@ -82,6 +82,17 @@ class TestTrain:
         assert code == 3
         assert "sky" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_vector_file_without_a_positive_dimension_exits_3(self, data_dir, tmp_path,
+                                                              capsys, dim):
+        vec = tmp_path / "vectors.txt"
+        vec.write_text(f"D {dim}\n" + "".join(f"{name}\n" for name in CLASS_NAMES))
+        # an exception escaping main is what the installed command prints as a traceback
+        code = cli.main(fast_train_args(data_dir, tmp_path / "run",
+                                        ["--prior", "file", "--vectors", str(vec)]))
+        assert code == 3
+        assert f"{vec}:1" in capsys.readouterr().err
+
     def test_zero_steps_writes_initialization_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "zero"
         args = ["train", "--data", str(data_dir), "--out", str(out),

@@ -16,7 +16,7 @@ from daplab import trainer as tr
 from daplab.classes import NUM_CLASSES
 from daplab.datagen import DatasetBundle
 from daplab.errors import InputError
-from daplab.priors import build_one_hot, build_random
+from daplab.priors import build_one_hot, build_random, downsample_embedding, proj
 from daplab.tensor import Tensor
 
 
@@ -173,12 +173,13 @@ class TestDapLoss:
         assert state.params["backbone.conv1"].grad is not None
         assert state.params["head.conv"].grad is None
 
-    def test_finite_difference_on_prior_projector(self):
-        state = md.init_student(seed=8)
+    @pytest.mark.parametrize("embeddings", [build_one_hot(), build_random(16, seed=3)],
+                             ids=["onehot", "random16"])
+    def test_finite_difference_on_prior_projector(self, embeddings):
+        state = md.init_student(seed=8, prior_dim=embeddings.dim)
         rng = np.random.default_rng(9)
         image = rng.uniform(size=(3, 8, 8))
         labels = rng.integers(0, NUM_CLASSES, (8, 8)).astype(np.uint8)
-        embeddings = build_one_hot()
 
         loss = dap_loss(state, image, labels, embeddings)
         tc.backward(loss)
@@ -198,6 +199,34 @@ class TestDapLoss:
             nflat[i] = (hi - lo) / (2 * eps)
         denom = max(np.abs(analytic).max(), np.abs(numeric).max())
         assert np.abs(analytic - numeric).max() / denom < 1e-3
+
+    @pytest.mark.parametrize("size,feature", [(64, 16), (30, 7)])
+    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+    @pytest.mark.parametrize("embeddings", [build_one_hot(), build_random(300, seed=5)],
+                             ids=["onehot", "random300"])
+    def test_prior_map_matches_the_resized_dense_map(self, monkeypatch, embeddings, mode,
+                                                     size, feature):
+        rng = np.random.default_rng(size)
+        labels = rng.integers(0, NUM_CLASSES, (size, size)).astype(np.uint8)
+        labels[rng.uniform(size=labels.shape) < 0.2] = 255
+        labels[:size // 4, :size // 4] = 255           # whole feature cells ignored
+        maps = []
+
+        def keep_map(state, embedding_map):
+            maps.append(embedding_map.data)
+            return embedding_map
+
+        monkeypatch.setattr(md, "project_prior", keep_map)
+        # the kept map stands in for the projected prior, so it sets the width
+        projected = Tensor(np.zeros((1, embeddings.dim, feature, feature)))
+        tr.dap_term(None, projected, labels, embeddings, mode)
+        dense = downsample_embedding(proj(labels, embeddings), feature, feature, mode).data
+        assert maps[0].shape == dense.shape
+        if embeddings.dim == NUM_CLASSES or mode == "nearest":
+            np.testing.assert_array_equal(maps[0], dense)
+        else:
+            assert np.abs(maps[0] - dense).max() <= 1e-15
+        assert not maps[0][:, :, 0, 0].any()
 
 
 class TestTrainStep:

@@ -98,6 +98,7 @@ def _train_config(args) -> tr.TrainConfig:
 
 
 def cmd_gen(args) -> int:
+    dg.check_image_side("--size", args.size)
     started = time.perf_counter()
     source_spec, target_spec = dg.preset_specs(args.preset, args.seed)
     out = Path(args.out)
@@ -225,6 +226,8 @@ def _map_in_workers(jobs, workers: int) -> list:
 def cmd_sweep(args) -> int:
     if bool(args.alphas) == bool(args.priors):
         raise InputError("sweep needs exactly one of --alphas or --priors")
+    if args.seeds < 1:
+        raise InputError(f"--seeds must be >= 1, got {args.seeds}")
     base = _train_config(args)
 
     if args.alphas:
@@ -238,6 +241,8 @@ def cmd_sweep(args) -> int:
         label = "prior"
         values = list(dict.fromkeys(v.strip() for v in args.priors.split(",") if v.strip()))
         make = lambda v, s: replace(base, prior=v, seed=s)
+    if not values:
+        raise InputError(f"--{label}s lists no value")
 
     # a rejected grid or dataset leaves no output directory behind
     out = Path(args.out)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .classes import CLASS_NAMES, IGNORE_ID, NUM_CLASSES
 from .errors import InputError
+from .model import INPUT_SIZE_MULTIPLE
 
 ROAD, SIDEWALK, SKY, BUILDING, BIKE, MOTORBIKE = range(NUM_CLASSES)
 
@@ -361,6 +362,13 @@ def regenerate_from_manifest(manifest_path, out_dir) -> Path:
                           height=int(entries["height"]), width=int(entries["width"]))
 
 
+def check_image_side(name: str, size: int) -> None:
+    """Reject an image side the model cannot take (see INPUT_SIZE_MULTIPLE)."""
+    if size < INPUT_SIZE_MULTIPLE or size % INPUT_SIZE_MULTIPLE:
+        raise InputError(f"{name} must be a positive multiple of "
+                         f"{INPUT_SIZE_MULTIPLE}, got {size}")
+
+
 class DatasetBundle:
     """Read access to an on-disk benchmark.
 
@@ -384,6 +392,8 @@ class DatasetBundle:
             raise InputError(f"{manifest}: missing key {missing.args[0]!r}") from None
         except ValueError as bad:
             raise InputError(f"{manifest}: {bad}") from None
+        check_image_side(f"{manifest}: height", self.height)
+        check_image_side(f"{manifest}: width", self.width)
         self._cache: dict = {}
 
     def dataset_checksum(self) -> str:

@@ -19,6 +19,8 @@ from .tensor import Tensor
 
 FEATURE_CHANNELS = 32
 COMMON_CHANNELS = 32
+# the backbone halves the resolution twice, so each input side is a multiple of 4
+INPUT_SIZE_MULTIPLE = 4
 
 # Projector weights start small so the alignment loss begins at the same
 # order of magnitude as the segmentation loss instead of swamping it.
@@ -92,8 +94,8 @@ def forward(state: ModelState, image: Tensor, project: bool = True) -> ForwardOu
     n, c, h, w = image.data.shape
     if c != 3:
         raise DimensionError(f"expected 3 input channels, got {c}")
-    if h % 4 or w % 4:
-        raise DimensionError(f"input size {h}x{w} must be divisible by 4")
+    if h % INPUT_SIZE_MULTIPLE or w % INPUT_SIZE_MULTIPLE:
+        raise DimensionError(f"input size {h}x{w} must be divisible by {INPUT_SIZE_MULTIPLE}")
     p = state.params
     x = tc.relu(tc.conv2d(image, p["backbone.conv1"], stride=1, padding=1))
     x = tc.relu(tc.conv2d(x, p["backbone.conv2"], stride=2, padding=1))

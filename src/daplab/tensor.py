@@ -10,6 +10,7 @@ throughput at this scale.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import DimensionError
 
 _GRAD_ENABLED = True
+_RECORD_SEQ = itertools.count()        # OpRecord.seq: creation order
 
 
 @contextlib.contextmanager
@@ -69,7 +71,8 @@ class Tensor:
 
 class OpRecord:
     """One forward step: op kind, input tensors, the id of the output tensor,
-    and the function mapping the output gradient to per-input gradients.
+    the function mapping the output gradient to per-input gradients, and
+    `seq`, the record's place in creation order.
 
     The record keeps the output's id, not the output: the output holds the
     record as `op`, so a reference back would make every graph a cycle that
@@ -77,7 +80,7 @@ class OpRecord:
     unrelated allocations. The id is unique while the record lives, since
     only its output refers to it."""
 
-    __slots__ = ("kind", "inputs", "output_id", "backward_fn")
+    __slots__ = ("kind", "inputs", "output_id", "backward_fn", "seq")
 
     def __init__(self, kind: str, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
@@ -85,11 +88,14 @@ class OpRecord:
         self.inputs = tuple(inputs)
         self.output_id = id(output)
         self.backward_fn = backward_fn
+        self.seq = next(_RECORD_SEQ)
 
 
 def _emit(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
           backward_fn) -> Tensor:
-    """Wrap an op result, attaching a record when gradients are live."""
+    """Wrap an op result, attaching a record when gradients are live. A
+    record exists only when an input requires a gradient, so single-input ops
+    return their gradient untested; two-input ops test each input."""
     track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
@@ -100,36 +106,25 @@ def _emit(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar root.
 
-    Accumulates dLoss/dTensor into .grad of every requires_grad tensor
-    reachable from `loss`; calling twice without reset_gradients() adds the
-    gradients again.
+    Adds dLoss/dTensor to .grad of each leaf (a tensor without an op record)
+    that requires a gradient and that `loss` depends on, and ones to `loss`'s
+    own .grad when it requires one; intermediate results get no .grad.
+    Calling twice without reset_gradients() adds the gradients again.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward() root must be scalar, got shape {list(loss.shape)}")
-    # records reachable from the root in topological order: each record
-    # comes after every record producing one of its inputs
-    nodes: list[OpRecord] = []
-    if loss.op is not None:
-        seen = {id(loss.op)}
-        stack = [(loss.op, iter(loss.op.inputs))]
-        while stack:
-            record, pending = stack[-1]
-            child = None
-            for tensor_in in pending:
-                producer = tensor_in.op
-                if producer is not None and id(producer) not in seen:
-                    child = producer
-                    break
-            if child is None:
-                nodes.append(record)
-                stack.pop()
-            else:
-                seen.add(id(child))
-                stack.append((child, iter(child.inputs)))
+    # an op's inputs exist before it does, so descending seq is topological
+    reachable: dict[int, OpRecord] = {}
+    stack = [loss.op]
+    while stack:
+        record = stack.pop()
+        if record is not None and record.seq not in reachable:
+            reachable[record.seq] = record
+            stack.extend(t.op for t in record.inputs)
 
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for record in reversed(nodes):
+    for _, record in sorted(reachable.items(), reverse=True):
         upstream = flowing.pop(record.output_id, None)
         if upstream is None:
             continue
@@ -179,7 +174,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
 
     def back(g):
-        return (g * factor if a.requires_grad else None,)
+        return (g * factor,)
 
     return _emit("scale", (a,), a.data * factor, back)
 
@@ -199,7 +194,7 @@ def total(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
 
     def back(g):
-        return (np.full_like(x.data, float(g)) if x.requires_grad else None,)
+        return (np.full_like(x.data, float(g)),)
 
     return _emit("total", (x,), np.float64(x.data.sum()), back)
 
@@ -209,7 +204,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
 
     def back(g):
-        return (g * mask if x.requires_grad else None,)
+        return (g * mask,)
 
     return _emit("relu", (x,), np.where(mask, x.data, 0.0), back)
 
@@ -221,8 +216,6 @@ def take_batch(x: Tensor, index: int) -> Tensor:
         raise DimensionError(f"take_batch: index {index} out of range {n}")
 
     def back(g):
-        if not x.requires_grad:
-            return (None,)
         full = np.zeros_like(x.data)
         full[index:index + 1] = g
         return (full,)
@@ -338,17 +331,10 @@ def _resize(x: Tensor, out_h: int, out_w: int, mode: str) -> Tensor:
     ay = _resize_matrix(h, out_h, mode)
     ax = _resize_matrix(w, out_w, mode)
 
-    def apply(data, my, mx):
-        t = np.tensordot(data, mx, axes=([3], [1]))                      # [N,C,H,out_w]
-        t = np.tensordot(t, my, axes=([2], [1]))                         # [N,C,out_w,out_h]
-        return np.ascontiguousarray(t.transpose(0, 1, 3, 2))
-
     def back(g):
-        if not x.requires_grad:
-            return (None,)
-        return (apply(g, ay.T, ax.T),)
+        return (ay.T @ (g @ ax),)
 
-    return _emit(f"resize_{mode}", (x,), apply(x.data, ay, ax), back)
+    return _emit(f"resize_{mode}", (x,), ay @ (x.data @ ax.T), back)
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -394,8 +380,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 2
     loss = -(picked[valid].sum()) / count
 
     def back(g):
-        if not logits.requires_grad:
-            return (None,)
         soft = np.exp(log_probs)
         grad = soft * (valid[:, None] / count)
         nz = np.nonzero(valid)

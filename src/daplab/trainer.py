@@ -5,6 +5,7 @@ manifest) lives here too."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -55,8 +56,10 @@ class TrainConfig:
     pseudo_acc_diagnostic: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InputError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InputError(f"alpha must be a finite number >= 0, got {self.alpha}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InputError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.ema_lambda <= 1.0:
             raise InputError("lambda must lie in [0, 1]")
         if self.steps < 0:
@@ -227,6 +230,9 @@ class Trainer:
 
         if config.heldout_source >= bundle.n_source:
             raise InputError("heldout_source leaves no training images")
+        if bundle.n_target < 1:
+            raise InputError(f"n_target is {bundle.n_target}: the dataset has no "
+                             "target-train images")
         self.n_train_source = bundle.n_source - config.heldout_source
         self.step_index = 0
         # the step whose student scored best on the held-out split, and that
@@ -359,6 +365,9 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
     continues a killed run from the newest state and reads no other file
     for them."""
     t_setup = time.perf_counter()
+    if bundle.n_test < 1:
+        raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
+                         "images to evaluate")
     out = Path(out_dir)
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)

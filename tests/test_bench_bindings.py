@@ -17,7 +17,8 @@ def test_probes_install_and_restore_every_binding(monkeypatch):
     def bindings():
         return (tensor.conv2d, tensor.SGD.step, trainer.pseudo_label, analysis.evaluate,
                 trainer.run, trainer.Trainer.save_train_state, trainer.Trainer.train_step,
-                priors.proj, priors.downsample_embedding)
+                priors.proj, priors.downsample_embedding, tensor.OpRecord, tensor.backward,
+                tensor.bilinear_resize, tensor.nearest_resize)
 
     originals = bindings()
     for probe in (tracer.Tracer(), timing.StepTimer()):

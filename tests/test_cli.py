@@ -247,6 +247,17 @@ class TestSweep:
         assert "clip" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, key", [(["--alphas", "1.0", "--seeds", "0"], "--seeds"),
+                                           (["--alphas", ",", "--seeds", "1"], "--alphas")])
+    def test_empty_grid_exits_3_before_creating_out(self, data_dir, tmp_path, capsys,
+                                                    grid, key):
+        out = tmp_path / "sweep_empty"
+        code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out), *grid,
+                         "--steps", "2", "--heldout-source", "0"])
+        assert code == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_values_run_once(self, data_dir, tmp_path):
         out = tmp_path / "sweep_repeated"
         assert cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
@@ -283,7 +294,11 @@ class TestMalformedInput:
                                            ("dap_enabled = false", "dap_enabled"),
                                            ("interp = cubic", "interp"),
                                            ("heldout_source = -1", "heldout_source"),
-                                           ("momentum = 0.9", "momentum")])
+                                           ("momentum = 0.9", "momentum"),
+                                           ("alpha = nan", "alpha"),
+                                           ("lr = 0", "lr"),
+                                           ("lr = -1", "lr"),
+                                           ("lr = nan", "lr")])
     def test_bad_config_value_exits_3_and_names_key(self, data_dir, tmp_path,
                                                     capsys, line, key):
         config = tmp_path / "run.cfg"
@@ -353,3 +368,24 @@ class TestMalformedInput:
         code = cli.main(fast_train_args(broken, tmp_path / "run"))
         assert code == 3
         assert "n_test" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts, size, key", [((3, 3, 2), 30, "height"),
+                                                   ((3, 0, 2), 32, "n_target"),
+                                                   ((3, 3, 0), 32, "n_test")],
+                             ids=["size-30", "no-target", "no-test"])
+    def test_unusable_dataset_exits_3_before_any_step(self, tmp_path, capsys,
+                                                      counts, size, key):
+        src, tgt = dg.preset_specs("gap-default", seed=7)
+        dg.make_benchmark(src, tgt, *counts, tmp_path / "data", height=size, width=size)
+        out = tmp_path / "run"
+        code = cli.main(fast_train_args(tmp_path / "data", out))
+        assert code == 3
+        assert key in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_gen_size_not_a_multiple_of_4_exits_3_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = cli.main(["gen", "--out", str(out), "--size", "30"])
+        assert code == 3
+        assert "--size" in capsys.readouterr().err
+        assert not out.exists()

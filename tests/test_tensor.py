@@ -229,6 +229,21 @@ class TestBilinearResize:
         out = tc.bilinear_resize(tc.Tensor(x), 6, 6)
         np.testing.assert_array_equal(out.data, x)
 
+    @pytest.mark.parametrize("resize", [tc.bilinear_resize, tc.nearest_resize],
+                             ids=["bilinear", "nearest"])
+    @pytest.mark.parametrize("out_h, out_w", [(4, 3), (9, 13)], ids=["down", "up"])
+    def test_non_square_gradient_matches_finite_differences(self, resize, out_h, out_w):
+        rng = np.random.default_rng(5)
+        x = tc.Tensor(rng.normal(size=(1, 2, 6, 10)), requires_grad=True)
+        anchor = tc.Tensor(rng.normal(size=(1, 2, out_h, out_w)))
+
+        def loss_fn():
+            return tc.sum_squared_error(resize(x, out_h, out_w), anchor)
+
+        tc.backward(loss_fn())
+        numeric = finite_difference(lambda: loss_fn().item(), x)
+        assert relative_error(x.grad, numeric) < 1e-6
+
 
 # ---------------------------------------------------------------------------
 # softmax_cross_entropy
@@ -411,6 +426,42 @@ class TestBackward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_interleaved_graphs_keep_their_gradients_apart(self):
+        # graph A's consumers of w and of h are created in an order unlike the
+        # order a walk from its root discovers them, and graph B's ops are
+        # created between them; integer values make every summation order exact
+        def build(interleave):
+            w = tc.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+            v = tc.Tensor([2.0, -1.0, 0.5], requires_grad=True)
+            x = tc.Tensor([2.0, 5.0, -1.0])
+            h = tc.scale(w, 2.0)
+            q = tc.relu(v) if interleave else None
+            c3 = tc.mul(w, w)
+            r = tc.scale(q, -1.0) if interleave else None
+            c1 = tc.mul(h, x)
+            c2 = tc.relu(h)
+            s = tc.total(tc.mul(q, x)) if interleave else None
+            c4 = tc.mul(h, w)
+            loss_a = tc.add(tc.add(tc.total(c1), tc.total(c2)),
+                            tc.add(tc.total(c4), tc.total(c3)))
+            loss_b = tc.add(s, tc.total(r)) if interleave else None
+            return w, v, x, loss_a, loss_b
+
+        w, v, x, loss_a, loss_b = build(interleave=True)
+        tc.backward(loss_a)
+        # d/dw of 2wx + relu(2w) + 2w^2 + w^2
+        expected = 2 * x.data + 2 * (w.data > 0) + 6 * w.data
+        np.testing.assert_array_equal(w.grad, expected)
+        assert v.grad is None and x.grad is None
+
+        alone_w, _, _, alone_loss, _ = build(interleave=False)
+        tc.backward(alone_loss)
+        np.testing.assert_array_equal(w.grad, alone_w.grad)
+
+        tc.backward(loss_b)
+        np.testing.assert_array_equal(v.grad, (v.data > 0) * (x.data - 1.0))
+        np.testing.assert_array_equal(w.grad, expected)
 
     def test_shared_weight_grad_sums_both_uses(self):
         w = tc.Tensor([2.0], requires_grad=True)

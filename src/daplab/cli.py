@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lr", type=float)
     train.add_argument("--steps", type=int)
     train.add_argument("--seed", type=int)
-    train.add_argument("--prior", choices=tr.PRIOR_KINDS)
-    train.add_argument("--vectors", dest="vector_file")
+    train.add_argument("--prior", help="a prior kind (onehot, random) or the path "
+                                       "of a vector file")
     train.add_argument("--interp", choices=tr.INTERP_MODES)
     train.add_argument("--no-dap", action="store_true")
     train.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--data", required=True)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--alphas", help="comma-separated weight values")
-    sweep.add_argument("--priors", help="comma-separated prior kinds")
+    sweep.add_argument("--priors", help="comma-separated prior kinds or vector files")
     sweep.add_argument("--seeds", type=int, default=3, help="number of seeds")
     sweep.add_argument("--config", help="base config file for every cell")
     sweep.add_argument("--steps", type=int)
@@ -99,6 +99,9 @@ def _train_config(args) -> tr.TrainConfig:
 
 def cmd_gen(args) -> int:
     dg.check_image_side("--size", args.size)
+    for flag, count in (("--n-source", args.n_source), ("--n-target", args.n_target),
+                        ("--n-test", args.n_test)):
+        dg.check_count(flag, count)
     started = time.perf_counter()
     source_spec, target_spec = dg.preset_specs(args.preset, args.seed)
     out = Path(args.out)
@@ -131,10 +134,11 @@ def cmd_eval(args) -> int:
         arrays = {name.split(".", 1)[1]: arr for name, arr in arrays.items()
                   if name.startswith("student.")}
     state = md.state_from_arrays(arrays, "student")
-    if args.split == "test":
-        items = [bundle.test(i) for i in range(bundle.n_test)]
-    else:
-        items = [bundle.source(i) for i in range(bundle.n_source)]
+    key = {"test": "n_test", "source": "n_source"}[args.split]
+    count = getattr(bundle, key)
+    if count < 1:
+        raise InputError(f"--split {args.split}: {key} is {count}")
+    items = [getattr(bundle, args.split)(i) for i in range(count)]
     started = time.perf_counter()
     metrics = analysis.evaluate(state, items)
     out = Path(args.out)
@@ -156,29 +160,14 @@ def cmd_eval(args) -> int:
 # sweeps
 
 
-def _cell_done(cell_dir: Path, config: tr.TrainConfig) -> bool:
-    manifest = cell_dir / dg.RUN_MANIFEST_NAME
-    config_file = cell_dir / "config.txt"
-    return (manifest.exists() and config_file.exists()
-            and config_file.read_text() == tr.config_to_text(config)
-            and "final_miou" in dg.parse_manifest(manifest))
-
-
-def _cell_result(cell_dir: Path) -> dict:
-    entries = dg.parse_manifest(cell_dir / dg.RUN_MANIFEST_NAME)
-    return {"final_miou": float(entries["final_miou"]),
-            "best_miou": float(entries["best_miou"])}
-
-
 def _run_cell(payload) -> tuple:
+    """A cell is a run, resumed when its directory holds the same config."""
     label, value, seed, config, data_dir, cell_dir = payload
     try:
         bundle = DatasetBundle(data_dir)
-        if _cell_done(Path(cell_dir), config):
-            result = _cell_result(Path(cell_dir))
-            return (label, value, seed, result["final_miou"], result["best_miou"],
-                    "cached")
-        run = tr.run(config, bundle, cell_dir)
+        config_file = Path(cell_dir) / "config.txt"
+        same = config_file.exists() and config_file.read_text() == tr.config_to_text(config)
+        run = tr.run(config, bundle, cell_dir, resume=same)
         return (label, value, seed, run.final_miou, run.best_miou, "ok")
     except Exception as failure:  # a failed cell must not sink the sweep
         return (label, value, seed, float("nan"), float("nan"),
@@ -236,22 +225,25 @@ def cmd_sweep(args) -> int:
             values = list(dict.fromkeys(float(v) for v in args.alphas.split(",") if v))
         except ValueError:
             raise InputError(f"bad --alphas list: {args.alphas!r}")
-        make = lambda v, s: replace(base, alpha=v, seed=s)
     else:
         label = "prior"
         values = list(dict.fromkeys(v.strip() for v in args.priors.split(",") if v.strip()))
-        make = lambda v, s: replace(base, prior=v, seed=s)
     if not values:
         raise InputError(f"--{label}s lists no value")
+
+    names = [Path(str(v)).name for v in values]  # a vector file's cells drop its directory
+    clashing = [str(v) for v, name in zip(values, names) if names.count(name) > 1]
+    if clashing:
+        raise InputError(f"--{label}s values {', '.join(clashing)} share a cell directory")
 
     # a rejected grid or dataset leaves no output directory behind
     out = Path(args.out)
     bundle = DatasetBundle(args.data)
     jobs = []
-    for value in values:
+    for name, value in zip(names, values):
         for seed in range(args.seeds):
-            config = make(value, seed)
-            cell_dir = out / "cells" / f"{label}_{value}_seed{seed}"
+            config = replace(base, **{label: value, "seed": seed})
+            cell_dir = out / "cells" / f"{label}_{name}_seed{seed}"
             jobs.append((label, value, seed, config, str(args.data), str(cell_dir)))
     out.mkdir(parents=True, exist_ok=True)
 

@@ -369,6 +369,12 @@ def check_image_side(name: str, size: int) -> None:
                          f"{INPUT_SIZE_MULTIPLE}, got {size}")
 
 
+def check_count(name: str, count: int) -> None:
+    """Reject a negative scene count."""
+    if count < 0:
+        raise InputError(f"{name} must be >= 0, got {count}")
+
+
 class DatasetBundle:
     """Read access to an on-disk benchmark.
 
@@ -392,6 +398,8 @@ class DatasetBundle:
             raise InputError(f"{manifest}: missing key {missing.args[0]!r}") from None
         except ValueError as bad:
             raise InputError(f"{manifest}: {bad}") from None
+        for key in ("n_source", "n_target", "n_test"):
+            check_count(f"{manifest}: {key}", getattr(self, key))
         check_image_side(f"{manifest}: height", self.height)
         check_image_side(f"{manifest}: width", self.width)
         self._cache: dict = {}

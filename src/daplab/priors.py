@@ -20,6 +20,9 @@ from .classes import CLASS_ALIASES, CLASS_NAMES, IGNORE_ID, NUM_CLASSES
 from .errors import DimensionError, InputError
 from .tensor import Tensor, bilinear_resize, nearest_resize
 
+# the built-in priors; any other prior value names a vector file
+PRIOR_KINDS = ("onehot", "random")
+
 
 @dataclass(frozen=True)
 class EmbeddingSet:
@@ -140,15 +143,11 @@ def downsample_embedding(embedding_map: Tensor, out_h: int, out_w: int,
     raise InputError(f"unknown interpolation mode {mode!r}")
 
 
-def make_embeddings(kind: str, *, dim: int = 300, seed: int = 0,
-                    vector_file=None) -> EmbeddingSet:
-    """Config-level constructor: kind is one of onehot|random|file."""
-    if kind == "onehot":
+def make_embeddings(prior: str, *, dim: int = 300, seed: int = 0) -> EmbeddingSet:
+    """Config-level constructor: `prior` is one of PRIOR_KINDS, or else the
+    path of a vector file."""
+    if prior == "onehot":
         return build_one_hot()
-    if kind == "random":
+    if prior == "random":
         return build_random(dim, seed)
-    if kind == "file":
-        if vector_file is None:
-            raise InputError("prior kind 'file' needs a vector file path")
-        return load_vectors(vector_file)
-    raise InputError(f"unknown prior kind {kind!r}")
+    return load_vectors(prior)

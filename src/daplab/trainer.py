@@ -9,7 +9,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from . import analysis
 from . import mixing
 from . import model as md
 from . import tensor as tc
-from .priors import EmbeddingSet, build_one_hot, downsample_embedding, make_embeddings, proj
+from .priors import (PRIOR_KINDS, EmbeddingSet, build_one_hot, downsample_embedding,
+                     make_embeddings, proj)
 from .tensor import Tensor
 
 
@@ -33,7 +34,6 @@ LR_POWER = 0.9
 JITTER_STRENGTH = 0.2
 BLUR_SIGMA = 0.5
 
-PRIOR_KINDS = ("onehot", "random", "file")
 INTERP_MODES = ("bilinear", "nearest")
 
 
@@ -46,8 +46,7 @@ class TrainConfig:
     ema_lambda: float = 0.99
     lr: float = 0.01
     steps: int = 2000
-    prior: str = "onehot"             # one of PRIOR_KINDS
-    vector_file: Optional[str] = None
+    prior: str = "onehot"             # one of PRIOR_KINDS, or a vector file path
     prior_dim: int = 300              # used by random priors
     interp: str = "bilinear"          # one of INTERP_MODES
     seed: int = 0
@@ -68,9 +67,9 @@ class TrainConfig:
             raise InputError("checkpoint_every must be >= 0")
         if self.heldout_source < 0:
             raise InputError("heldout_source must be >= 0")
-        if self.prior not in PRIOR_KINDS:
-            raise InputError(f"prior must be one of {', '.join(PRIOR_KINDS)}, "
-                             f"got {self.prior!r}")
+        if self.prior not in PRIOR_KINDS and not Path(self.prior).is_file():
+            raise InputError(f"prior must be one of {', '.join(PRIOR_KINDS)} or an "
+                             f"existing vector file, got {self.prior!r}")
         if self.interp not in INTERP_MODES:
             raise InputError(f"interp must be one of {', '.join(INTERP_MODES)}, "
                              f"got {self.interp!r}")
@@ -102,7 +101,7 @@ def config_to_text(config: TrainConfig) -> str:
     for field in fields(TrainConfig):
         key = _CONFIG_FILE_KEYS.get(field.name, field.name)
         value = getattr(config, field.name)
-        lines.append(f"{key} = {'' if value is None else value}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -133,8 +132,7 @@ def parse_config(path) -> TrainConfig:
 
 
 def _coerce(kind, text: str):
-    """Parse `text` as `kind`; raises ValueError when it is no such value. An
-    empty string field reads as None, the inverse of config_to_text."""
+    """Parse `text` as `kind`; raises ValueError when it is no such value."""
     if kind is bool:
         lowered = text.lower()
         if lowered in ("true", "1", "yes"):
@@ -142,9 +140,7 @@ def _coerce(kind, text: str):
         if lowered in ("false", "0", "no"):
             return False
         raise ValueError(text)
-    if kind in (int, float):
-        return kind(text)
-    return text or None
+    return kind(text)
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +217,18 @@ class Trainer:
         self.config = config
         self.bundle = bundle
 
-        self.embeddings = make_embeddings(
-            config.prior, dim=config.prior_dim,
-            seed=config.seed + 1_000_000_007, vector_file=config.vector_file)
+        if config.heldout_source >= bundle.n_source:
+            raise InputError(f"heldout_source {config.heldout_source} leaves no training "
+                             f"images: n_source is {bundle.n_source}")
+        if bundle.n_target < 1:
+            raise InputError(f"n_target is {bundle.n_target}: the dataset has no "
+                             "target-train images")
+        self.embeddings = make_embeddings(config.prior, dim=config.prior_dim,
+                                          seed=config.seed + 1_000_000_007)
         self.student = md.init_student(config.seed, prior_dim=self.embeddings.dim)
         self.teacher = md.make_teacher(self.student)
         self.optimizer = make_optimizer(self.student, config.lr)
 
-        if config.heldout_source >= bundle.n_source:
-            raise InputError("heldout_source leaves no training images")
-        if bundle.n_target < 1:
-            raise InputError(f"n_target is {bundle.n_target}: the dataset has no "
-                             "target-train images")
         self.n_train_source = bundle.n_source - config.heldout_source
         self.step_index = 0
         # the step whose student scored best on the held-out split, and that
@@ -363,23 +359,23 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
     The train state is the run's one commit point: each checkpoint writes it
     last, and it records the best held-out step and score, so `resume`
     continues a killed run from the newest state and reads no other file
-    for them."""
+    for them. A run that does not resume first deletes the train states left
+    in out_dir. A rejected run leaves no directory behind."""
     t_setup = time.perf_counter()
     if bundle.n_test < 1:
         raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
                          "images to evaluate")
-    out = Path(out_dir)
-    checkpoints = out / "checkpoints"
-    checkpoints.mkdir(parents=True, exist_ok=True)
+    trainer = Trainer(config, bundle)
+    heldout = trainer.heldout_items()
 
+    out = Path(out_dir)
     config_path = out / "config.txt"
     snapshot = config_to_text(config)
     if resume and config_path.exists() and config_path.read_text() != snapshot:
         raise InputError("resume rejected: config differs from the checkpointed run")
+    checkpoints = out / "checkpoints"
+    checkpoints.mkdir(parents=True, exist_ok=True)
     config_path.write_text(snapshot, encoding="utf-8")
-
-    trainer = Trainer(config, bundle)
-    heldout = trainer.heldout_items()
 
     best_path = out / "best.ckpt"
     metrics_path = out / "metrics.csv"
@@ -387,6 +383,9 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
     latest = _latest_state(checkpoints) if resume else None
     if latest is not None:
         trainer.load_train_state(latest)
+    if not resume:
+        for stale in checkpoints.glob("state_*.ckpt"):
+            stale.unlink()
     start_step = trainer.step_index
     if start_step == 0:
         metrics_path.write_text(METRICS_HEADER + "\n", encoding="utf-8")

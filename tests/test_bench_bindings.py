@@ -4,7 +4,7 @@ test suite, not only a traced benchmark run."""
 
 from pathlib import Path
 
-from daplab import analysis, priors, tensor, trainer
+from daplab import analysis, datagen, priors, tensor, trainer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,3 +27,19 @@ def test_probes_install_and_restore_every_binding(monkeypatch):
         finally:
             probe.uninstall()
     assert all(now is before for now, before in zip(bindings(), originals))
+
+
+def test_train_workload_configs_build_a_trainer(monkeypatch, tmp_path):
+    """Each train workload's config, unchanged, must still make a Trainer: a
+    config field or prior kind the benchmark passes cannot silently go."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    source_spec, target_spec = datagen.preset_specs("gap-default", seed=0)
+    datagen.make_benchmark(source_spec, target_spec, 9, 1, 1, tmp_path, height=16, width=16)
+    bundle = datagen.DatasetBundle(tmp_path)
+    names = [name for name, workload in workloads.WORKLOADS.items()
+             if isinstance(workload, workloads.TrainWorkload)]
+    assert names
+    for name in names:
+        trainer.Trainer(workloads.WORKLOADS[name].config(1), bundle)

@@ -9,6 +9,8 @@ from daplab import analysis
 from daplab import cli
 from daplab import datagen as dg
 from daplab import model as md
+from daplab import priors
+from daplab import trainer as tr
 from daplab.classes import CLASS_NAMES
 from daplab.datagen import DatasetBundle
 
@@ -27,6 +29,32 @@ def fast_train_args(data_dir, out, extra=()):
     return ["train", "--data", str(data_dir), "--out", str(out),
             "--steps", "4", "--seed", "3", "--heldout-source", "0",
             "--checkpoint-every", "0", *extra]
+
+
+def write_vectors(path, seed=0, dim=4):
+    priors.save_vectors(path, priors.build_random(dim, seed))
+    return path
+
+
+def count_steps(monkeypatch):
+    """Record the step index of every train_step that runs in this process
+    (sweeps run their cells here when DAP_LAB_THREADS is 1)."""
+    calls = []
+    step = tr.Trainer.train_step
+
+    def counted(self):
+        calls.append(self.step_index)
+        return step(self)
+
+    monkeypatch.setattr(tr.Trainer, "train_step", counted)
+    return calls
+
+
+def run_files(out):
+    """Every file of a run or sweep directory but its manifest, which holds
+    wall-clock times, mapped to its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run_manifest.txt"}
 
 
 def assert_manifest_lists_every_file(out, command):
@@ -78,7 +106,7 @@ class TestTrain:
         rows = [f"{name} 0.1 0.2" for name in CLASS_NAMES if name != "sky"]
         vec.write_text("D 2\n" + "\n".join(rows) + "\n")
         code = cli.main(fast_train_args(data_dir, tmp_path / "run",
-                                        ["--prior", "file", "--vectors", str(vec)]))
+                                        ["--prior", str(vec)]))
         assert code == 3
         assert "sky" in capsys.readouterr().err
 
@@ -89,9 +117,10 @@ class TestTrain:
         vec.write_text(f"D {dim}\n" + "".join(f"{name}\n" for name in CLASS_NAMES))
         # an exception escaping main is what the installed command prints as a traceback
         code = cli.main(fast_train_args(data_dir, tmp_path / "run",
-                                        ["--prior", "file", "--vectors", str(vec)]))
+                                        ["--prior", str(vec)]))
         assert code == 3
         assert f"{vec}:1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_zero_steps_writes_initialization_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "zero"
@@ -107,9 +136,18 @@ class TestTrain:
         vec = tmp_path / "nan_vectors.txt"
         vec.write_text("D 2\n" + "\n".join(f"{n} nan nan" for n in CLASS_NAMES) + "\n")
         code = cli.main(fast_train_args(data_dir, tmp_path / "nanrun",
-                                        ["--prior", "file", "--vectors", str(vec)]))
+                                        ["--prior", str(vec)]))
         assert code == 4
         capsys.readouterr()
+
+    def test_heldout_source_covering_the_source_split_exits_3_without_a_run_dir(
+            self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.main(fast_train_args(data_dir, out, ["--heldout-source", "6"]))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "heldout_source 6" in err and "n_source is 6" in err
+        assert not out.exists()
 
     def test_negative_heldout_source_exits_3(self, data_dir, tmp_path, capsys):
         code = cli.main(fast_train_args(data_dir, tmp_path / "run",
@@ -181,6 +219,21 @@ class TestEval:
         assert reported["miou"] == pytest.approx(recomputed.miou, abs=1e-6)
 
 
+    @pytest.mark.parametrize("split, counts, key", [("test", (3, 3, 0), "n_test"),
+                                                    ("source", (0, 3, 2), "n_source")])
+    def test_empty_split_exits_3_and_names_it(self, tmp_path, capsys, split, counts, key):
+        src, tgt = dg.preset_specs("gap-default", seed=7)
+        dg.make_benchmark(src, tgt, *counts, tmp_path / "data", height=32, width=32)
+        ckpt = tmp_path / "student.ckpt"
+        md.save_checkpoint(ckpt, md.init_student(0).data_arrays())
+        out = tmp_path / "eval"
+        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
+                         "--split", split, "--out", str(out)])
+        assert code == 3
+        assert f"--split {split}: {key} is 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_alpha_grid_emits_complete_table(self, data_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -196,19 +249,77 @@ class TestSweep:
         cells = (out / "sweep_cells.csv").read_text().splitlines()
         assert len(cells) == 7
 
-    def test_resumed_sweep_skips_completed_cells(self, data_dir, tmp_path):
+    def test_resumed_sweep_skips_completed_cells(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "1")
         out = tmp_path / "sweep_resume"
         args = ["sweep", "--data", str(data_dir), "--out", str(out),
                 "--alphas", "1.0", "--seeds", "2", "--steps", "2",
                 "--heldout-source", "0"]
         assert cli.main(args) == 0
-        first = (out / "sweep_cells.csv").read_text()
+        first = run_files(out)
+        calls = count_steps(monkeypatch)
         assert cli.main(args) == 0
-        second = (out / "sweep_cells.csv").read_text()
-        assert "cached" in second
-        first_scores = [line.split(",")[2] for line in first.splitlines()[1:]]
-        second_scores = [line.split(",")[2] for line in second.splitlines()[1:]]
-        assert first_scores == second_scores
+        # each finished cell resumed at its last step, so no step ran again and
+        # every score and file came out the same
+        assert calls == []
+        assert run_files(out) == first
+        assert all(line.endswith(",ok")
+                   for line in first["sweep_cells.csv"].decode().splitlines()[1:])
+
+    def test_killed_cell_continues_from_its_train_state(self, data_dir, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "1")
+        config = tmp_path / "base.cfg"
+        config.write_text("checkpoint_every = 2\n")
+
+        def sweep(out):
+            return cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                             "--alphas", "1.0", "--seeds", "1", "--steps", "6",
+                             "--heldout-source", "2", "--config", str(config)])
+
+        assert sweep(tmp_path / "whole") == 0
+        step = tr.Trainer.train_step
+
+        def killed_at_step_3(self):
+            if self.step_index == 3:
+                raise RuntimeError("killed")
+            return step(self)
+
+        monkeypatch.setattr(tr.Trainer, "train_step", killed_at_step_3)
+        killed = tmp_path / "killed"
+        assert sweep(killed) == 0
+        assert "failed: killed" in (killed / "sweep_cells.csv").read_text()
+        cell = killed / "cells" / "alpha_1.0_seed0"
+        assert [p.name for p in (cell / "checkpoints").iterdir()] == ["state_000002.ckpt"]
+
+        monkeypatch.setattr(tr.Trainer, "train_step", step)
+        calls = count_steps(monkeypatch)
+        assert sweep(killed) == 0
+        assert calls == [2, 3, 4, 5]
+        assert run_files(killed) == run_files(tmp_path / "whole")
+
+    def test_changed_cell_config_trains_from_scratch(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "1")
+        config = tmp_path / "base.cfg"
+        config.write_text("checkpoint_every = 2\n")
+        out = tmp_path / "sweep"
+
+        def sweep(steps):
+            return cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                             "--alphas", "1.0", "--seeds", "1", "--steps", str(steps),
+                             "--heldout-source", "0", "--config", str(config)])
+
+        assert sweep(4) == 0
+        calls = count_steps(monkeypatch)
+        assert sweep(2) == 0
+        assert calls == [0, 1]
+        # the 4-step run's last state is gone, so the next re-run resumes the
+        # 2-step run and runs no step
+        cell = out / "cells" / "alpha_1.0_seed0"
+        assert [p.name for p in (cell / "checkpoints").iterdir()] == ["state_000002.ckpt"]
+        assert sweep(2) == 0
+        assert calls == [0, 1]
+        assert (out / "sweep_cells.csv").read_text().splitlines()[1].endswith(",ok")
 
     def test_prior_sweep_shares_dataset_checksum(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("DAP_LAB_THREADS", "2")
@@ -237,6 +348,43 @@ class TestSweep:
         assert manifest["workers"] == "2" and manifest["worker_blas_threads"] == "1"
         assert seen == dict.fromkeys(cli.BLAS_THREAD_VARIABLES, "1")
         assert dict(os.environ) == environment
+
+    def test_prior_values_mix_kinds_and_vector_files(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "1")
+        a = write_vectors(tmp_path / "A.txt", seed=1)
+        b = write_vectors(tmp_path / "B.txt", seed=2, dim=5)
+        out = tmp_path / "sweep_files"
+        assert cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--priors", f"onehot,{a},{b}", "--seeds", "1", "--steps", "2",
+                         "--heldout-source", "0"]) == 0
+        table = (out / "sweep_table.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in table] == ["onehot", str(a), str(b)]
+        assert all(line.split(",")[3:] == ["1", "0"] for line in table)
+        cells = out / "cells"
+        assert sorted(p.name for p in cells.iterdir()) == [
+            "prior_A.txt_seed0", "prior_B.txt_seed0", "prior_onehot_seed0"]
+        # each cell trained with its own file: the prior projector takes its width
+        for name, width in (("onehot", 6), ("A.txt", 4), ("B.txt", 5)):
+            final = md.load_checkpoint(cells / f"prior_{name}_seed0" / "student_final.ckpt")
+            assert final["gpr.conv"].shape[1] == width
+        assert f"prior = {b}\n" in (cells / "prior_B.txt_seed0" / "config.txt").read_text()
+
+    @pytest.mark.parametrize("values, named", [("missing.txt", "missing.txt"),
+                                               ("a.txt,x/a.txt", "x/a.txt")],
+                             ids=["missing-file", "same-file-name"])
+    def test_bad_prior_value_exits_3_before_creating_out(self, data_dir, tmp_path, capsys,
+                                                         monkeypatch, values, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").mkdir()
+        write_vectors(tmp_path / "a.txt")
+        write_vectors(tmp_path / "x" / "a.txt")
+        out = tmp_path / "sweep_bad"
+        code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--priors", values, "--seeds", "1", "--steps", "2",
+                         "--heldout-source", "0"])
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_prior_exits_3_before_any_cell(self, data_dir, tmp_path, capsys):
         out = tmp_path / "sweep_clip"
@@ -298,7 +446,8 @@ class TestMalformedInput:
                                            ("alpha = nan", "alpha"),
                                            ("lr = 0", "lr"),
                                            ("lr = -1", "lr"),
-                                           ("lr = nan", "lr")])
+                                           ("lr = nan", "lr"),
+                                           ("prior = clip", "prior")])
     def test_bad_config_value_exits_3_and_names_key(self, data_dir, tmp_path,
                                                     capsys, line, key):
         config = tmp_path / "run.cfg"
@@ -318,7 +467,7 @@ class TestMalformedInput:
             assert code == 3
             assert ckpt.name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--config"], ["--prior", "file", "--vectors"]],
+    @pytest.mark.parametrize("flag", [["--config"], ["--prior"]],
                              ids=["config", "vectors"])
     def test_missing_input_file_exits_3_and_names_it(self, data_dir, tmp_path, capsys,
                                                      flag):
@@ -326,6 +475,17 @@ class TestMalformedInput:
         code = cli.main(fast_train_args(data_dir, tmp_path / "run", [*flag, str(missing)]))
         assert code == 3
         assert missing.name in capsys.readouterr().err
+
+    def test_removed_vector_file_setting_is_rejected(self, data_dir, tmp_path, capsys):
+        vec = write_vectors(tmp_path / "vectors.txt")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"prior = file\nvector_file = {vec}\n")
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out, ["--config", str(config)])) == 3
+        assert "vector_file" in capsys.readouterr().err
+        assert cli.main(fast_train_args(data_dir, out, ["--vectors", str(vec)])) == 2
+        assert "--vectors" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoint_missing_a_parameter_exits_3_and_names_it(self, data_dir,
                                                                  tmp_path, capsys):
@@ -381,7 +541,28 @@ class TestMalformedInput:
         code = cli.main(fast_train_args(tmp_path / "data", out))
         assert code == 3
         assert key in capsys.readouterr().err
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_source", "n_target", "n_test"])
+    def test_negative_manifest_count_exits_3_and_names_it(self, data_dir, tmp_path, capsys,
+                                                          key):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        manifest = broken / "manifest.txt"
+        manifest.write_text("".join(f"{key}=-1\n" if line.startswith(f"{key}=") else line
+                                    for line in manifest.read_text().splitlines(True)))
+        code = cli.main(fast_train_args(broken, tmp_path / "run"))
+        assert code == 3
+        assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--n-source", "--n-target", "--n-test"])
+    def test_gen_negative_count_exits_3_before_writing(self, tmp_path, capsys, flag):
+        out = tmp_path / "data"
+        code = cli.main(["gen", "--out", str(out), "--size", "32", flag, "-2"])
+        assert code == 3
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_size_not_a_multiple_of_4_exits_3_before_writing(self, tmp_path, capsys):
         out = tmp_path / "data"

@@ -224,7 +224,11 @@ class TestFrozenContract:
         np.testing.assert_array_equal(priors.make_embeddings("onehot").vectors,
                                       np.eye(NUM_CLASSES))
         assert priors.make_embeddings("random", dim=32, seed=1).dim == 32
-        with pytest.raises(InputError):
-            priors.make_embeddings("file")
-        with pytest.raises(InputError):
+        # any other value is the path of a vector file
+        path = tmp_path / "vectors.txt"
+        saved = priors.build_random(4, seed=2)
+        priors.save_vectors(path, saved)
+        np.testing.assert_array_equal(priors.make_embeddings(str(path)).vectors,
+                                      saved.vectors)
+        with pytest.raises(InputError, match="clip"):
             priors.make_embeddings("clip")

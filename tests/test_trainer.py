@@ -45,7 +45,6 @@ def non_default_value(field, kind):
         return field.default + 1
     if kind is float:
         return field.default / 2
-    return "vectors.txt"
 
 
 # `daplab train` options that are not TrainConfig fields

@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--heldout-source", dest="heldout_source", type=int)
     train.add_argument("--pseudo-acc", dest="pseudo_acc_diagnostic",
                        action="store_true", default=None)
-    train.add_argument("--resume", action="store_true")
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -121,7 +120,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = _train_config(args)
     bundle = DatasetBundle(args.data)
-    result = tr.run(config, bundle, args.out, resume=args.resume)
+    result = tr.run(config, bundle, args.out)
     print(f"final mIOU {result.final_miou:.4f}  best mIOU {result.best_miou:.4f} "
           f"(step {result.best_step})")
     return EXIT_OK
@@ -161,13 +160,10 @@ def cmd_eval(args) -> int:
 
 
 def _run_cell(payload) -> tuple:
-    """A cell is a run, resumed when its directory holds the same config."""
+    """A cell is a plain run in its own directory."""
     label, value, seed, config, data_dir, cell_dir = payload
     try:
-        bundle = DatasetBundle(data_dir)
-        config_file = Path(cell_dir) / "config.txt"
-        same = config_file.exists() and config_file.read_text() == tr.config_to_text(config)
-        run = tr.run(config, bundle, cell_dir, resume=same)
+        run = tr.run(config, DatasetBundle(data_dir), cell_dir)
         return (label, value, seed, run.final_miou, run.best_miou, "ok")
     except Exception as failure:  # a failed cell must not sink the sweep
         return (label, value, seed, float("nan"), float("nan"),
@@ -175,13 +171,17 @@ def _run_cell(payload) -> tuple:
 
 
 def worker_cap() -> int:
-    """DAP_LAB_THREADS, or else the number of CPUs this process may run on."""
+    """DAP_LAB_THREADS, or else the number of CPUs this process may run on. A
+    DAP_LAB_THREADS that is not an integer of at least 1 is an input error."""
     env = os.environ.get("DAP_LAB_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            cap = int(env)
         except ValueError:
-            raise InputError(f"DAP_LAB_THREADS must be an integer, got {env!r}")
+            cap = 0
+        if cap < 1:
+            raise InputError(f"DAP_LAB_THREADS must be an integer >= 1, got {env!r}")
+        return cap
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
@@ -245,9 +245,9 @@ def cmd_sweep(args) -> int:
             config = replace(base, **{label: value, "seed": seed})
             cell_dir = out / "cells" / f"{label}_{name}_seed{seed}"
             jobs.append((label, value, seed, config, str(args.data), str(cell_dir)))
+    workers = min(worker_cap(), len(jobs))
     out.mkdir(parents=True, exist_ok=True)
 
-    workers = min(worker_cap(), len(jobs))
     started = time.perf_counter()
     if workers > 1:
         rows = _map_in_workers(jobs, workers)

@@ -380,7 +380,9 @@ class DatasetBundle:
 
     Trainer-facing methods are source() and target_image(); hidden target
     labels are reachable only through target_hidden_labels(), the
-    evaluation-only accessor.
+    evaluation-only accessor. source() and test() check each item against
+    its manifest digest on first read. Target-train images go unchecked:
+    their digest covers the sealed label too, which training must not read.
     """
 
     def __init__(self, root):
@@ -412,10 +414,20 @@ class DatasetBundle:
             self._cache[key] = loader()
         return self._cache[key]
 
+    def _labeled(self, split: str, i: int) -> LabeledImage:
+        """Read item i of a labeled split and check its image and label bytes
+        against the manifest's item digest."""
+        image_path = self.root / split / f"img_{i:03d}.ppm"
+        label_path = self.root / split / f"lab_{i:03d}.pgm"
+        item = LabeledImage(read_ppm(image_path), read_pgm(label_path))
+        key = f"item.{split}/{i:03d}"
+        if _sha256(image_path.read_bytes(), label_path.read_bytes()) != self.entries.get(key):
+            raise InputError(f"{image_path}, {label_path}: do not match {key} in "
+                             f"{self.root / MANIFEST_NAME}")
+        return item
+
     def source(self, i: int) -> LabeledImage:
-        return self._cached(("source", i), lambda: LabeledImage(
-            read_ppm(self.root / "source" / f"img_{i:03d}.ppm"),
-            read_pgm(self.root / "source" / f"lab_{i:03d}.pgm")))
+        return self._cached(("source", i), lambda: self._labeled("source", i))
 
     def target_image(self, i: int) -> np.ndarray:
         return self._cached(("target_image", i), lambda: read_ppm(
@@ -426,9 +438,7 @@ class DatasetBundle:
         return read_pgm(self.root / "target_train" / "hidden" / f"lab_{i:03d}.pgm")
 
     def test(self, i: int) -> LabeledImage:
-        return self._cached(("test", i), lambda: LabeledImage(
-            read_ppm(self.root / "target_test" / f"img_{i:03d}.ppm"),
-            read_pgm(self.root / "target_test" / f"lab_{i:03d}.pgm")))
+        return self._cached(("test", i), lambda: self._labeled("target_test", i))
 
 
 # ---------------------------------------------------------------------------

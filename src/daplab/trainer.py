@@ -5,6 +5,7 @@ manifest) lives here too."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass, fields
@@ -63,6 +64,8 @@ class TrainConfig:
             raise InputError("lambda must lie in [0, 1]")
         if self.steps < 0:
             raise InputError("steps must be >= 0")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0:
             raise InputError("checkpoint_every must be >= 0")
         if self.heldout_source < 0:
@@ -350,17 +353,18 @@ def _latest_state(checkpoint_dir: Path):
     return max(checkpoint_dir.glob("state_*.ckpt"), default=None)
 
 
-def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
-        resume: bool = False) -> RunResult:
+def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     """Train for config.steps, checkpointing every checkpoint_every steps,
     then evaluate the final and best-on-heldout students on the target test
     split. All artifacts land under out_dir and are listed in its manifest.
 
-    The train state is the run's one commit point: each checkpoint writes it
-    last, and it records the best held-out step and score, so `resume`
-    continues a killed run from the newest state and reads no other file
-    for them. A run that does not resume first deletes the train states left
-    in out_dir. A rejected run leaves no directory behind."""
+    config.txt records the run's inputs: the config, the dataset checksum
+    and the prior vectors' sha256. A run whose out_dir holds the same record
+    continues from the newest train state there; any other first deletes
+    those states. The train state is the run's one commit point: each
+    checkpoint writes it last, and it records the best held-out step and
+    score, so a killed run continues without reading any other file for
+    them. A rejected run leaves no directory behind."""
     t_setup = time.perf_counter()
     if bundle.n_test < 1:
         raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
@@ -370,22 +374,22 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir,
 
     out = Path(out_dir)
     config_path = out / "config.txt"
-    snapshot = config_to_text(config)
-    if resume and config_path.exists() and config_path.read_text() != snapshot:
-        raise InputError("resume rejected: config differs from the checkpointed run")
+    prior_sha256 = hashlib.sha256(trainer.embeddings.vectors.tobytes()).hexdigest()
+    snapshot = (f"{config_to_text(config)}# dataset_checksum {bundle.dataset_checksum()}\n"
+                f"# prior_sha256 {prior_sha256}\n")
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)
-    config_path.write_text(snapshot, encoding="utf-8")
+    if not (config_path.exists() and config_path.read_bytes() == snapshot.encode()):
+        # the old states go before the new record, so no kill can pair them
+        for stale in checkpoints.glob("state_*.ckpt"):
+            stale.unlink()
+        config_path.write_text(snapshot, encoding="utf-8")
+    latest = _latest_state(checkpoints)
+    if latest is not None:
+        trainer.load_train_state(latest)
 
     best_path = out / "best.ckpt"
     metrics_path = out / "metrics.csv"
-
-    latest = _latest_state(checkpoints) if resume else None
-    if latest is not None:
-        trainer.load_train_state(latest)
-    if not resume:
-        for stale in checkpoints.glob("state_*.ckpt"):
-            stale.unlink()
     start_step = trainer.step_index
     if start_step == 0:
         metrics_path.write_text(METRICS_HEADER + "\n", encoding="utf-8")

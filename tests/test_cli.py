@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import shutil
@@ -13,6 +14,7 @@ from daplab import priors
 from daplab import trainer as tr
 from daplab.classes import CLASS_NAMES
 from daplab.datagen import DatasetBundle
+from daplab.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,17 @@ def run_files(out):
     wall-clock times, mapped to its bytes."""
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "run_manifest.txt"}
+
+
+def reseal_item(root, split, i):
+    """Record item i's current image and label bytes as its manifest digest,
+    as `gen` would have written it."""
+    digest = hashlib.sha256((root / split / f"img_{i:03d}.ppm").read_bytes()
+                            + (root / split / f"lab_{i:03d}.pgm").read_bytes()).hexdigest()
+    key = f"item.{split}/{i:03d}="
+    manifest = root / "manifest.txt"
+    manifest.write_text("".join(key + digest + "\n" if line.startswith(key) else line
+                                for line in manifest.read_text().splitlines(True)))
 
 
 def assert_manifest_lists_every_file(out, command):
@@ -155,6 +168,68 @@ class TestTrain:
         assert code == 3
         assert "heldout_source" in capsys.readouterr().err
 
+    def test_negative_seed_exits_3_and_names_it(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out, ["--seed", "-1"])) == 3
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_second_train_with_same_inputs_runs_no_step(self, data_dir, tmp_path,
+                                                        monkeypatch):
+        out = tmp_path / "run"
+        args = fast_train_args(data_dir, out, ["--checkpoint-every", "2"])
+        assert cli.main(args) == 0
+        first = run_files(out)
+        calls = count_steps(monkeypatch)
+        assert cli.main(args) == 0
+        assert calls == []
+        assert run_files(out) == first
+
+    def test_run_config_reads_back_through_config_flag(self, data_dir, tmp_path,
+                                                       monkeypatch):
+        vec = write_vectors(tmp_path / "v.txt")
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out, ["--prior", str(vec), "--lambda",
+                                                        "0.9", "--interp", "nearest"])) == 0
+        text = (out / "config.txt").read_text()
+        vectors = priors.load_vectors(vec).vectors
+        assert text.splitlines()[-2:] == [
+            f"# dataset_checksum {DatasetBundle(data_dir).dataset_checksum()}",
+            f"# prior_sha256 {hashlib.sha256(vectors.tobytes()).hexdigest()}"]
+        rerun = ["train", "--data", str(data_dir), "--out", str(out),
+                 "--config", str(out / "config.txt")]
+        args = cli.build_parser().parse_args(rerun)
+        assert cli._train_config(args) == tr.TrainConfig(
+            steps=4, seed=3, heldout_source=0, checkpoint_every=0, prior=str(vec),
+            ema_lambda=0.9, interp="nearest")
+        # the file reproduces the record it came from, so the run continues
+        calls = count_steps(monkeypatch)
+        assert cli.main(rerun) == 0
+        assert calls == []
+        assert (out / "config.txt").read_text() == text
+
+    @pytest.mark.parametrize("path, command", [("source/img_005.ppm", "train"),
+                                               ("target_test/lab_000.pgm", "eval")])
+    def test_changed_dataset_item_exits_3_naming_file_and_manifest(
+            self, data_dir, tmp_path, capsys, path, command):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        data = bytearray((broken / path).read_bytes())
+        data[-1] ^= 1
+        (broken / path).write_bytes(bytes(data))
+        out = tmp_path / "out"
+        if command == "train":
+            # the one held-out image is source 5, scored before the first step
+            args = fast_train_args(broken, out, ["--heldout-source", "1"])
+        else:
+            ckpt = tmp_path / "student.ckpt"
+            md.save_checkpoint(ckpt, md.init_student(0).data_arrays())
+            args = ["eval", "--ckpt", str(ckpt), "--data", str(broken), "--out", str(out)]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert path in err and str(broken / "manifest.txt") in err
+        assert not out.exists()
+
     def test_bad_data_dir_exits_3(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "out"), "--steps", "1"])
@@ -177,6 +252,7 @@ class TestEval:
         for i in range(bundle.n_test):
             prediction = analysis.predict_labels(state, bundle.test(i).image)
             dg.write_pgm(cheat / "target_test" / f"lab_{i:03d}.pgm", prediction)
+            reseal_item(cheat, "target_test", i)
 
         result_dir = tmp_path / "eval_oracle"
         assert cli.main(["eval", "--ckpt", str(out / "student_final.ckpt"),
@@ -321,6 +397,41 @@ class TestSweep:
         assert calls == [0, 1]
         assert (out / "sweep_cells.csv").read_text().splitlines()[1].endswith(",ok")
 
+    def test_rewritten_vector_file_retrains_its_cell(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "1")
+        vec = write_vectors(tmp_path / "v.txt", seed=1)
+
+        def sweep(out):
+            return cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                             "--priors", str(vec), "--seeds", "1", "--steps", "2",
+                             "--heldout-source", "0"])
+
+        assert sweep(tmp_path / "rerun") == 0
+        write_vectors(vec, seed=2)
+        calls = count_steps(monkeypatch)
+        assert sweep(tmp_path / "rerun") == 0
+        assert calls == [0, 1]
+        assert sweep(tmp_path / "fresh") == 0
+        assert run_files(tmp_path / "rerun") == run_files(tmp_path / "fresh")
+
+    def test_other_data_retrains_the_cell(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "1")
+        other = tmp_path / "other_data"
+        assert cli.main(["gen", "--out", str(other), "--seed", "8", "--n-source", "6",
+                         "--n-target", "6", "--n-test", "3", "--size", "32"]) == 0
+
+        def sweep(data, out):
+            return cli.main(["sweep", "--data", str(data), "--out", str(out),
+                             "--alphas", "1.0", "--seeds", "1", "--steps", "2",
+                             "--heldout-source", "0"])
+
+        assert sweep(data_dir, tmp_path / "rerun") == 0
+        calls = count_steps(monkeypatch)
+        assert sweep(other, tmp_path / "rerun") == 0
+        assert calls == [0, 1]
+        assert sweep(other, tmp_path / "fresh") == 0
+        assert run_files(tmp_path / "rerun") == run_files(tmp_path / "fresh")
+
     def test_prior_sweep_shares_dataset_checksum(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("DAP_LAB_THREADS", "2")
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -426,6 +537,20 @@ class TestSweep:
         assert cli.worker_cap() == 2
         monkeypatch.setenv("DAP_LAB_THREADS", "3")
         assert cli.worker_cap() == 3
+        for bad in ("0", "-2", "two"):
+            monkeypatch.setenv("DAP_LAB_THREADS", bad)
+            with pytest.raises(InputError, match=f"DAP_LAB_THREADS .*{bad}"):
+                cli.worker_cap()
+
+    def test_thread_cap_below_1_exits_3_before_creating_out(self, data_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "0")
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--alphas", "1.0", "--seeds", "1", "--steps", "2"])
+        assert code == 3
+        assert "DAP_LAB_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_both_axes_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["sweep", "--data", str(data_dir),
@@ -447,7 +572,8 @@ class TestMalformedInput:
                                            ("lr = 0", "lr"),
                                            ("lr = -1", "lr"),
                                            ("lr = nan", "lr"),
-                                           ("prior = clip", "prior")])
+                                           ("prior = clip", "prior"),
+                                           ("seed = -1", "seed")])
     def test_bad_config_value_exits_3_and_names_key(self, data_dir, tmp_path,
                                                     capsys, line, key):
         config = tmp_path / "run.cfg"
@@ -485,6 +611,12 @@ class TestMalformedInput:
         assert "vector_file" in capsys.readouterr().err
         assert cli.main(fast_train_args(data_dir, out, ["--vectors", str(vec)])) == 2
         assert "--vectors" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_resume_flag_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out, ["--resume"])) == 2
+        assert "--resume" in capsys.readouterr().err
         assert not out.exists()
 
     def test_checkpoint_missing_a_parameter_exits_3_and_names_it(self, data_dir,

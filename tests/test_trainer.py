@@ -48,7 +48,7 @@ def non_default_value(field, kind):
 
 
 # `daplab train` options that are not TrainConfig fields
-RUN_OPTIONS = {"data", "out", "config", "no_dap", "resume"}
+RUN_OPTIONS = {"data", "out", "config", "no_dap"}
 
 
 class TestConfig:
@@ -259,6 +259,15 @@ class TestTrainStep:
             assert records[-1].l_seg < early, f"seed {seed}"
 
 
+def record_steps(monkeypatch):
+    """The step index of every train_step that runs from here on."""
+    steps = []
+    train_step = tr.Trainer.train_step
+    monkeypatch.setattr(tr.Trainer, "train_step",
+                        lambda self: steps.append(self.step_index) or train_step(self))
+    return steps
+
+
 def cut_log_behind_state(out):
     """Leave state_000004.ckpt the newest train state and metrics.csv holding
     only steps 0 and 1."""
@@ -334,15 +343,18 @@ class TestRun:
             np.testing.assert_array_equal(solid.teacher.params[name].data,
                                           second.teacher.params[name].data)
 
-    def test_run_level_resume_continues_to_same_state(self, bundle, tmp_path):
+    def test_run_level_resume_continues_to_same_state(self, bundle, tmp_path,
+                                                      monkeypatch):
         config = small_config(steps=12, checkpoint_every=4)
         straight = tr.run(config, bundle, tmp_path / "straight")
 
+        # a run killed after its step-8 state: the trainer's first 8 steps,
+        # the run's own record of its inputs, the log and the state
         interrupted_dir = tmp_path / "interrupted"
-        short = small_config(steps=12, checkpoint_every=4)
-        trainer = tr.Trainer(short, bundle)
+        trainer = tr.Trainer(config, bundle)
         (interrupted_dir / "checkpoints").mkdir(parents=True)
-        (interrupted_dir / "config.txt").write_text(tr.config_to_text(short))
+        (interrupted_dir / "config.txt").write_bytes(
+            (tmp_path / "straight" / "config.txt").read_bytes())
         (interrupted_dir / "metrics.csv").write_text(tr.METRICS_HEADER + "\n")
         with (interrupted_dir / "metrics.csv").open("a") as log:
             for _ in range(8):
@@ -350,7 +362,9 @@ class TestRun:
         state = interrupted_dir / "checkpoints" / "state_000008.ckpt"
         trainer.save_train_state(state)
 
-        resumed = tr.run(short, bundle, interrupted_dir, resume=True)
+        steps_run = record_steps(monkeypatch)
+        resumed = tr.run(config, bundle, interrupted_dir)
+        assert steps_run == [8, 9, 10, 11]
         a = md.load_checkpoint(tmp_path / "straight" / "student_final.ckpt")
         b = md.load_checkpoint(interrupted_dir / "student_final.ckpt")
         for name in a:
@@ -374,7 +388,7 @@ class TestRun:
             kill(patch)
             with pytest.raises(Killed):
                 tr.run(config, bundle, out)
-        resumed = tr.run(config, bundle, out, resume=True)
+        resumed = tr.run(config, bundle, out)
 
         assert resumed.best_step == straight.best_step
         assert resumed.final_miou == straight.final_miou
@@ -411,7 +425,7 @@ class TestRun:
         train_step = tr.Trainer.train_step
         monkeypatch.setattr(tr.Trainer, "train_step",
                             lambda self: steps_run.append(1) or train_step(self))
-        resumed = tr.run(config, bundle, out, resume=True)
+        resumed = tr.run(config, bundle, out)
         assert len(steps_run) == 4
         for name, arr in md.load_checkpoint(out / "student_final.ckpt").items():
             np.testing.assert_array_equal(arr, final[name])
@@ -431,7 +445,7 @@ class TestRun:
             del arrays[record]
             md.save_checkpoint(state, arrays)
             with pytest.raises(InputError, match=f"lacks {record}$"):
-                tr.run(config, bundle, out, resume=True)
+                tr.run(config, bundle, out)
 
     def test_resume_names_a_misshapen_state_record(self, bundle, tmp_path):
         config = small_config(steps=8, checkpoint_every=4)
@@ -443,7 +457,7 @@ class TestRun:
         md.save_checkpoint(state, arrays)
         with pytest.raises(InputError, match=r"velocity\.head\.conv has shape "
                                              r"\(5, 32, 1, 1\), expected \(6, 32, 1, 1\)"):
-            tr.run(config, bundle, out, resume=True)
+            tr.run(config, bundle, out)
 
     @pytest.mark.parametrize("damage", [
         lambda out: (out / "metrics.csv").unlink(),
@@ -455,14 +469,19 @@ class TestRun:
         tr.run(config, bundle, out)
         damage(out)
         with pytest.raises(InputError, match="metrics.csv"):
-            tr.run(config, bundle, out, resume=True)
+            tr.run(config, bundle, out)
 
-    def test_resume_rejects_changed_config(self, bundle, tmp_path):
-        config = small_config(steps=4, checkpoint_every=2)
-        tr.run(config, bundle, tmp_path / "run")
-        changed = small_config(steps=4, checkpoint_every=2, alpha=0.5)
-        with pytest.raises(InputError):
-            tr.run(changed, bundle, tmp_path / "run", resume=True)
+    def test_changed_config_starts_at_step_0_without_old_states(self, bundle, tmp_path,
+                                                                monkeypatch):
+        out = tmp_path / "run"
+        tr.run(small_config(steps=4, checkpoint_every=2), bundle, out)
+        changed = small_config(steps=4, checkpoint_every=3, alpha=0.5)
+        steps_run = record_steps(monkeypatch)
+        tr.run(changed, bundle, out)
+        assert steps_run == [0, 1, 2, 3]
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
+            "state_000003.ckpt", "state_000004.ckpt"]
+        assert tr.parse_config(out / "config.txt") == changed
 
     def test_different_seeds_differ(self, bundle, tmp_path):
         a = tr.run(small_config(steps=5, seed=1), bundle, tmp_path / "a")

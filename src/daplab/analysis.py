@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import CLASS_NAMES, IGNORE_ID, NUM_CLASSES
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, read_input_text
 from . import model as md
 from . import tensor as tc
 from .tensor import Tensor
@@ -219,7 +219,7 @@ def emit_heatmap(matrix: np.ndarray, path) -> None:
 
 def read_heatmap_sidecar(path) -> np.ndarray:
     rows = [[float(v) for v in line.split(",")]
-            for line in Path(path).read_text().splitlines() if line]
+            for line in read_input_text(path, "heatmap sidecar").splitlines() if line]
     return np.array(rows)
 
 
@@ -243,5 +243,5 @@ def write_confusion_csv(confusion: np.ndarray, path) -> None:
 
 def read_confusion_csv(path) -> np.ndarray:
     rows = [[int(v) for v in line.split(",")]
-            for line in Path(path).read_text().splitlines() if line]
+            for line in read_input_text(path, "confusion CSV").splitlines() if line]
     return np.array(rows, dtype=np.int64)

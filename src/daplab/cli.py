@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     except InputError as failure:
         print(f"error: {failure}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as failure:  # an output path that cannot be written
+        print(f"error: {failure.filename}: {failure.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     except NumericError as failure:
         print(f"numeric failure: {failure}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .classes import CLASS_NAMES, IGNORE_ID, NUM_CLASSES
-from .errors import InputError
+from .errors import InputError, read_input, read_input_text
 from .model import INPUT_SIZE_MULTIPLE
 
 ROAD, SIDEWALK, SKY, BUILDING, BIKE, MOTORBIKE = range(NUM_CLASSES)
@@ -192,20 +192,24 @@ def scene_rng(spec: DomainSpec, index: int) -> np.random.Generator:
 # pixmap I/O (binary P6 images, binary P5 label maps, 255 = ignore)
 
 
-def write_ppm(path, image: np.ndarray) -> None:
+def write_ppm(path, image: np.ndarray) -> bytes:
     arr = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
     h, w = arr.shape[:2]
-    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
+    data = f"P6\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
+    Path(path).write_bytes(data)
+    return data
 
 
-def write_pgm(path, labels: np.ndarray) -> None:
+def write_pgm(path, labels: np.ndarray) -> bytes:
     arr = np.asarray(labels, dtype=np.uint8)
     h, w = arr.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
+    data = f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
+    Path(path).write_bytes(data)
+    return data
 
 
 def _read_pnm(path, magic: str):
-    data = Path(path).read_bytes()
+    data = read_input(path, "pixmap")
     header = re.match(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
     if header is None or header.group(1).decode() != magic:
         raise InputError(f"{path}: not a {magic} pixmap")
@@ -264,45 +268,21 @@ def _sha256(*chunks: bytes) -> str:
     return digest.hexdigest()
 
 
+def item_paths(root, split: str, i: int) -> tuple:
+    """(image, label) paths of item i of a split; target_train keeps its
+    labels sealed in a hidden/ subdirectory the trainer never reads."""
+    folder = Path(root) / split
+    labels = folder / "hidden" if split == "target_train" else folder
+    return folder / f"img_{i:03d}.ppm", labels / f"lab_{i:03d}.pgm"
+
+
 def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
                    n_source: int, n_target: int, n_test: int,
                    out_dir, height: int = 64, width: int = 64) -> Path:
     """Write a three-split benchmark under `out_dir` and return the manifest
-    path. target_train keeps its labels sealed in a hidden/ subdirectory the
-    trainer never reads. Regenerating from the manifest reproduces every
-    file byte for byte."""
+    path. Test scene i is target scene n_target + i. Regenerating from the
+    manifest reproduces every file byte for byte."""
     root = Path(out_dir)
-    for split in _SPLITS:
-        (root / split).mkdir(parents=True, exist_ok=True)
-    (root / "target_train" / "hidden").mkdir(exist_ok=True)
-
-    item_lines = []
-    split_hashes = {split: [] for split in _SPLITS}
-
-    def emit(split, index, scene, image_path, label_path):
-        write_ppm(image_path, scene.image)
-        write_pgm(label_path, scene.labels)
-        digest = _sha256(image_path.read_bytes(), label_path.read_bytes())
-        item_lines.append(f"item.{split}/{index:03d}={digest}")
-        split_hashes[split].append(digest)
-
-    for i in range(n_source):
-        scene = generate_scene(source_spec, height, width, scene_rng(source_spec, i))
-        emit("source", i, scene,
-             root / "source" / f"img_{i:03d}.ppm",
-             root / "source" / f"lab_{i:03d}.pgm")
-    for i in range(n_target):
-        scene = generate_scene(target_spec, height, width, scene_rng(target_spec, i))
-        emit("target_train", i, scene,
-             root / "target_train" / f"img_{i:03d}.ppm",
-             root / "target_train" / "hidden" / f"lab_{i:03d}.pgm")
-    for i in range(n_test):
-        scene = generate_scene(target_spec, height, width,
-                               scene_rng(target_spec, n_target + i))
-        emit("target_test", i, scene,
-             root / "target_test" / f"img_{i:03d}.ppm",
-             root / "target_test" / f"lab_{i:03d}.pgm")
-
     lines = [
         "format=daplab-benchmark-v1",
         f"height={height}",
@@ -313,18 +293,33 @@ def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
     ]
     lines += _spec_to_lines("source", source_spec)
     lines += _spec_to_lines("target", target_spec)
-    lines += item_lines
-    for split in _SPLITS:
-        lines.append(f"split_checksum.{split}="
-                     + _sha256(*(h.encode() for h in split_hashes[split])))
+    split_checksums = []
+    for split, spec, count, first_scene in (("source", source_spec, n_source, 0),
+                                            ("target_train", target_spec, n_target, 0),
+                                            ("target_test", target_spec, n_test, n_target)):
+        for path in item_paths(root, split, 0):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        digests = []
+        for i in range(count):
+            scene = generate_scene(spec, height, width, scene_rng(spec, first_scene + i))
+            image_path, label_path = item_paths(root, split, i)
+            digests.append(_sha256(write_ppm(image_path, scene.image),
+                                   write_pgm(label_path, scene.labels)))
+            lines.append(f"item.{split}/{i:03d}={digests[-1]}")
+        split_checksums.append(f"split_checksum.{split}="
+                               + _sha256(*(d.encode() for d in digests)))
+    lines += split_checksums
     manifest = root / MANIFEST_NAME
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 
 def parse_manifest(path) -> dict:
+    """The key=value lines of a manifest or config file. Blank lines and
+    whole lines that start with # are skipped; a line splits at its first =,
+    and both sides are stripped."""
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_input_text(path, "key=value file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -348,15 +343,11 @@ def write_run_manifest(out_dir, command: str, fields: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def specs_from_manifest(entries: dict):
-    return _spec_from_entries(entries, "source"), _spec_from_entries(entries, "target")
-
-
 def regenerate_from_manifest(manifest_path, out_dir) -> Path:
     """Rebuild the full bundle described by a manifest into `out_dir`."""
     entries = parse_manifest(manifest_path)
-    source_spec, target_spec = specs_from_manifest(entries)
-    return make_benchmark(source_spec, target_spec,
+    return make_benchmark(_spec_from_entries(entries, "source"),
+                          _spec_from_entries(entries, "target"),
                           int(entries["n_source"]), int(entries["n_target"]),
                           int(entries["n_test"]), out_dir,
                           height=int(entries["height"]), width=int(entries["width"]))
@@ -380,16 +371,15 @@ class DatasetBundle:
 
     Trainer-facing methods are source() and target_image(); hidden target
     labels are reachable only through target_hidden_labels(), the
-    evaluation-only accessor. source() and test() check each item against
-    its manifest digest on first read. Target-train images go unchecked:
-    their digest covers the sealed label too, which training must not read.
+    evaluation-only accessor. Every pixmap must be the manifest's height x
+    width. source() and test() also check each item against its manifest
+    digest on first read. Target-train images have no digest check: their
+    digest covers the sealed label too, which training must not read.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         manifest = self.root / MANIFEST_NAME
-        if not manifest.exists():
-            raise InputError(f"no {MANIFEST_NAME} under {self.root}")
         self.entries = parse_manifest(manifest)
         try:
             self.n_source, self.n_target, self.n_test, self.height, self.width = (
@@ -414,14 +404,23 @@ class DatasetBundle:
             self._cache[key] = loader()
         return self._cache[key]
 
+    def _pixmap(self, read, path) -> np.ndarray:
+        """read(path), rejected unless it is height x width."""
+        pixels = read(path)
+        if pixels.shape[-2:] != (self.height, self.width):
+            raise InputError(f"{path}: pixmap is {pixels.shape[-2]}x{pixels.shape[-1]}, but "
+                             f"{self.root / MANIFEST_NAME} gives {self.height}x{self.width}")
+        return pixels
+
     def _labeled(self, split: str, i: int) -> LabeledImage:
         """Read item i of a labeled split and check its image and label bytes
         against the manifest's item digest."""
-        image_path = self.root / split / f"img_{i:03d}.ppm"
-        label_path = self.root / split / f"lab_{i:03d}.pgm"
-        item = LabeledImage(read_ppm(image_path), read_pgm(label_path))
+        image_path, label_path = item_paths(self.root, split, i)
+        item = LabeledImage(self._pixmap(read_ppm, image_path),
+                            self._pixmap(read_pgm, label_path))
         key = f"item.{split}/{i:03d}"
-        if _sha256(image_path.read_bytes(), label_path.read_bytes()) != self.entries.get(key):
+        digest = _sha256(read_input(image_path, "pixmap"), read_input(label_path, "pixmap"))
+        if digest != self.entries.get(key):
             raise InputError(f"{image_path}, {label_path}: do not match {key} in "
                              f"{self.root / MANIFEST_NAME}")
         return item
@@ -430,12 +429,12 @@ class DatasetBundle:
         return self._cached(("source", i), lambda: self._labeled("source", i))
 
     def target_image(self, i: int) -> np.ndarray:
-        return self._cached(("target_image", i), lambda: read_ppm(
-            self.root / "target_train" / f"img_{i:03d}.ppm"))
+        return self._cached(("target_image", i), lambda: self._pixmap(
+            read_ppm, item_paths(self.root, "target_train", i)[0]))
 
     def target_hidden_labels(self, i: int) -> np.ndarray:
         """Evaluation-only accessor for sealed target-train labels."""
-        return read_pgm(self.root / "target_train" / "hidden" / f"lab_{i:03d}.pgm")
+        return self._pixmap(read_pgm, item_paths(self.root, "target_train", i)[1])
 
     def test(self, i: int) -> LabeledImage:
         return self._cached(("test", i), lambda: self._labeled("target_test", i))

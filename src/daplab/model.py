@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .classes import NUM_CLASSES
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, read_input
 from . import tensor as tc
 from .tensor import Tensor
 
@@ -161,10 +161,7 @@ def save_checkpoint(path, arrays: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as failure:
-        raise InputError(f"{path}: cannot read checkpoint ({failure.strerror})") from None
+    blob = read_input(path, "checkpoint")
     if blob[:8] != CHECKPOINT_MAGIC:
         raise InputError(f"{path}: not a checkpoint file")
     arrays = {}

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .classes import CLASS_ALIASES, CLASS_NAMES, IGNORE_ID, NUM_CLASSES
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, read_input_text
 from .tensor import Tensor, bilinear_resize, nearest_resize
 
 # the built-in priors; any other prior value names a vector file
@@ -56,10 +56,7 @@ def load_vectors(path) -> EmbeddingSet:
     alias table tried when the canonical name is absent. Vectors are used
     as-is, without re-normalization.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as failure:
-        raise InputError(f"{path}: cannot read vector file ({failure.strerror})") from None
+    lines = read_input_text(path, "vector file").splitlines()
     if not lines:
         raise InputError(f"{path}: empty vector file")
     header = lines[0].split()

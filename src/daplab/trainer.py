@@ -14,8 +14,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .datagen import DatasetBundle, write_run_manifest
-from .errors import InputError, NumericError
+from .datagen import DatasetBundle, parse_manifest, write_run_manifest
+from .errors import InputError, NumericError, read_input, read_input_text
 from . import analysis
 from . import mixing
 from . import model as md
@@ -109,28 +109,18 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def parse_config(path) -> TrainConfig:
-    """Plain-text key = value config, one per line, # comments. Each value is
-    parsed as the type its TrainConfig field declares."""
+    """A key = value file in the manifest format (datagen.parse_manifest).
+    Each value is parsed as the type its TrainConfig field declares."""
     types = get_type_hints(TrainConfig)
     kwargs = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as failure:
-        raise InputError(f"{path}: cannot read config ({failure.strerror})") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for key, value in parse_manifest(path).items():
         name = _CONFIG_FIELD_FOR_KEY.get(key, key)
         if name not in types:
             raise InputError(f"{path}: unknown config key {name!r}")
         try:
             kwargs[name] = _coerce(types[name], value)
         except ValueError:
-            raise InputError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+            raise InputError(f"{path}: bad value for {key!r}: {value!r}") from None
     return TrainConfig(**kwargs)
 
 
@@ -364,13 +354,21 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     those states. The train state is the run's one commit point: each
     checkpoint writes it last, and it records the best held-out step and
     score, so a killed run continues without reading any other file for
-    them. A rejected run leaves no directory behind."""
+    them. Every source, target-train and test item is read and checked
+    before the first step, and a rejected run leaves no directory behind."""
     t_setup = time.perf_counter()
     if bundle.n_test < 1:
         raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
                          "images to evaluate")
     trainer = Trainer(config, bundle)
     heldout = trainer.heldout_items()
+    # read, and so check, every other item before the run directory exists;
+    # the bundle caches them for the steps
+    for i in range(trainer.n_train_source):
+        bundle.source(i)
+    for i in range(bundle.n_target):
+        bundle.target_image(i)
+    test_items = [bundle.test(i) for i in range(bundle.n_test)]
 
     out = Path(out_dir)
     config_path = out / "config.txt"
@@ -379,7 +377,8 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
                 f"# prior_sha256 {prior_sha256}\n")
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)
-    if not (config_path.exists() and config_path.read_bytes() == snapshot.encode()):
+    if not (config_path.exists()
+            and read_input(config_path, "run record") == snapshot.encode()):
         # the old states go before the new record, so no kill can pair them
         for stale in checkpoints.glob("state_*.ckpt"):
             stale.unlink()
@@ -396,11 +395,7 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     else:
         # drop any step lines past the checkpoint so the log matches an
         # uninterrupted run exactly
-        try:
-            lines = metrics_path.read_text(encoding="utf-8").splitlines()
-        except OSError as failure:
-            raise InputError(f"{metrics_path}: cannot read the step log "
-                             f"({failure.strerror})") from None
+        lines = read_input_text(metrics_path, "the step log").splitlines()
         if len(lines) < start_step + 1:
             raise InputError(f"{metrics_path}: the step log ends before step "
                              f"{start_step}, where the train state resumes")
@@ -438,7 +433,6 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     md.save_checkpoint(out / "student_final.ckpt", trainer.student.data_arrays())
 
     t_eval_start = time.perf_counter()
-    test_items = [bundle.test(i) for i in range(bundle.n_test)]
     final_metrics = analysis.evaluate(trainer.student, test_items)
     best_state = md.state_from_arrays(md.load_checkpoint(best_path), "student")
     best_metrics = analysis.evaluate(best_state, test_items)

@@ -208,6 +208,19 @@ class TestTrain:
         assert calls == []
         assert (out / "config.txt").read_text() == text
 
+    def test_prior_file_named_with_a_hash_reads_back_through_config_flag(
+            self, data_dir, tmp_path, monkeypatch):
+        vec = write_vectors(tmp_path / "v#1.txt")
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out, ["--prior", str(vec)])) == 0
+        rerun = ["train", "--data", str(data_dir), "--out", str(out),
+                 "--config", str(out / "config.txt")]
+        assert cli._train_config(cli.build_parser().parse_args(rerun)) == tr.TrainConfig(
+            steps=4, seed=3, heldout_source=0, checkpoint_every=0, prior=str(vec))
+        calls = count_steps(monkeypatch)
+        assert cli.main(rerun) == 0
+        assert calls == []
+
     @pytest.mark.parametrize("path, command", [("source/img_005.ppm", "train"),
                                                ("target_test/lab_000.pgm", "eval")])
     def test_changed_dataset_item_exits_3_naming_file_and_manifest(
@@ -560,6 +573,68 @@ class TestSweep:
         capsys.readouterr()
 
 
+def _missing_item(rel):
+    def damage(data, tmp_path):
+        (data / rel).unlink()
+        return fast_train_args(data, tmp_path / "run"), [str(data / rel)]
+    return damage
+
+
+def _config_not_utf8(data, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"alpha = 1.0\n# caf\xe9\n")
+    return fast_train_args(data, tmp_path / "run", ["--config", str(config)]), [str(config)]
+
+
+def _manifest_not_utf8(data, tmp_path):
+    manifest = data / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes() + b"# caf\xe9\n")
+    return fast_train_args(data, tmp_path / "run"), [str(manifest)]
+
+
+def _vectors_not_utf8(data, tmp_path):
+    vec = write_vectors(tmp_path / "v.txt")
+    vec.write_bytes(vec.read_bytes() + b"caf\xe9 1 2 3 4\n")
+    return fast_train_args(data, tmp_path / "run", ["--prior", str(vec)]), [str(vec)]
+
+
+def _manifest_is_a_directory(data, tmp_path):
+    manifest = data / "manifest.txt"
+    manifest.unlink()
+    manifest.mkdir()
+    return fast_train_args(data, tmp_path / "run"), [str(manifest)]
+
+
+def _target_image_of_the_wrong_size(data, tmp_path):
+    image = data / "target_train" / "img_001.ppm"
+    dg.write_ppm(image, np.zeros((3, 16, 16)))
+    return fast_train_args(data, tmp_path / "run"), [str(image), "32x32"]
+
+
+def _out_is_a_file(command):
+    def damage(data, tmp_path):
+        out = tmp_path / "file"
+        out.write_text("")
+        args = (fast_train_args(data, out) if command == "train" else
+                ["gen", "--out", str(out), "--size", "32", "--n-source", "1"])
+        return args, [str(out)]
+    return damage
+
+
+# each reproduces an input that once ended in a traceback (exit 1)
+UNREADABLE_INPUTS = {
+    "missing-target-image": _missing_item("target_train/img_002.ppm"),
+    "missing-test-image": _missing_item("target_test/img_000.ppm"),
+    "config-not-utf8": _config_not_utf8,
+    "manifest-not-utf8": _manifest_not_utf8,
+    "vectors-not-utf8": _vectors_not_utf8,
+    "manifest-is-a-directory": _manifest_is_a_directory,
+    "target-image-16x16": _target_image_of_the_wrong_size,
+    "train-out-is-a-file": _out_is_a_file("train"),
+    "gen-out-is-a-file": _out_is_a_file("gen"),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("line, key", [("alpha = abc", "alpha"),
                                            ("alpha =", "alpha"),
@@ -582,6 +657,19 @@ class TestMalformedInput:
                                         ["--config", str(config)]))
         assert code == 3
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+    def test_unreadable_input_exits_3_naming_it_before_any_step(
+            self, data_dir, tmp_path, capsys, monkeypatch, case):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        args, named = UNREADABLE_INPUTS[case](data, tmp_path)
+        calls = count_steps(monkeypatch)
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        assert calls == []
+        assert not (tmp_path / "run").exists()
 
     def test_bad_checkpoint_exits_3_and_names_file(self, data_dir, tmp_path, capsys):
         truncated = tmp_path / "truncated.ckpt"

@@ -276,12 +276,21 @@ def item_paths(root, split: str, i: int) -> tuple:
     return folder / f"img_{i:03d}.ppm", labels / f"lab_{i:03d}.pgm"
 
 
+def _item_indices(root, split: str) -> set:
+    """Indices of the item files (images or labels) present in a split."""
+    image_dir, label_dir = (path.parent for path in item_paths(root, split, 0))
+    stems = [path.stem for path in (*image_dir.glob("img_*.ppm"),
+                                    *label_dir.glob("lab_*.pgm"))]
+    return {int(stem[4:]) for stem in stems if stem[4:].isdecimal()}
+
+
 def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
                    n_source: int, n_target: int, n_test: int,
                    out_dir, height: int = 64, width: int = 64) -> Path:
     """Write a three-split benchmark under `out_dir` and return the manifest
     path. Test scene i is target scene n_target + i. Regenerating from the
-    manifest reproduces every file byte for byte."""
+    manifest reproduces every file byte for byte. Item files that an earlier,
+    larger benchmark left in `out_dir` are removed; no other file is."""
     root = Path(out_dir)
     lines = [
         "format=daplab-benchmark-v1",
@@ -306,6 +315,10 @@ def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
             digests.append(_sha256(write_ppm(image_path, scene.image),
                                    write_pgm(label_path, scene.labels)))
             lines.append(f"item.{split}/{i:03d}={digests[-1]}")
+        for i in _item_indices(root, split):
+            if i >= count:
+                for path in item_paths(root, split, i):
+                    path.unlink(missing_ok=True)
         split_checksums.append(f"split_checksum.{split}="
                                + _sha256(*(d.encode() for d in digests)))
     lines += split_checksums
@@ -317,16 +330,21 @@ def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
 def parse_manifest(path) -> dict:
     """The key=value lines of a manifest or config file. Blank lines and
     whole lines that start with # are skipped; a line splits at its first =,
-    and both sides are stripped."""
+    and both sides are stripped. A key given twice is rejected."""
     entries = {}
+    key_line = {}
     for lineno, raw in enumerate(read_input_text(path, "key=value file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (side.strip() for side in line.split("=", 1))
+        if key in entries:
+            raise InputError(f"{path}:{lineno}: key {key!r} is already set "
+                             f"on line {key_line[key]}")
+        entries[key] = value
+        key_line[key] = lineno
     return entries
 
 

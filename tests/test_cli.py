@@ -100,6 +100,23 @@ class TestGen:
             sums.append(DatasetBundle(tmp_path / sub).dataset_checksum())
         assert sums[0] == sums[1]
 
+    def test_smaller_gen_into_the_same_out_leaves_only_live_items(self, tmp_path):
+        out = tmp_path / "data"
+        args = ["gen", "--out", str(out), "--size", "16", "--n-target", "3",
+                "--n-test", "2", "--n-source"]
+        assert cli.main(args + ["6"]) == 0
+        keep = out / "source" / "img_keep.ppm"
+        keep.write_bytes(b"not an item")
+        assert cli.main(args + ["2"]) == 0
+        assert sorted(p.name for p in (out / "source").iterdir()) == [
+            "img_000.ppm", "img_001.ppm", "img_keep.ppm", "lab_000.pgm", "lab_001.pgm"]
+        artifacts = [line for line in (out / "run_manifest.txt").read_text().splitlines()
+                     if line.startswith("artifact.source/")]
+        assert artifacts == [f"artifact.source/{name}=present" for name in (
+            "img_000.ppm", "img_001.ppm", "img_keep.ppm", "lab_000.pgm", "lab_001.pgm")]
+        assert_manifest_lists_every_file(out, "gen")
+        DatasetBundle(out).source(1)
+
 
 class TestTrain:
     def test_no_dap_equals_alpha_zero(self, data_dir, tmp_path):
@@ -152,6 +169,20 @@ class TestTrain:
                                         ["--prior", str(vec)]))
         assert code == 4
         capsys.readouterr()
+
+    def test_nan_first_layer_weight_exits_4(self, data_dir, tmp_path, monkeypatch, capsys):
+        # ReLU passes the NaN on to the loss instead of zeroing it
+        init_student = md.init_student
+
+        def poisoned(*args, **kwargs):
+            state = init_student(*args, **kwargs)
+            state.params["backbone.conv1"].data[0, 0, 1, 1] = np.nan
+            return state
+
+        monkeypatch.setattr(md, "init_student", poisoned)
+        code = cli.main(fast_train_args(data_dir, tmp_path / "run"))
+        assert code == 4
+        assert "non-finite loss at step 0" in capsys.readouterr().err
 
     def test_heldout_source_covering_the_source_split_exits_3_without_a_run_dir(
             self, data_dir, tmp_path, capsys):
@@ -658,6 +689,16 @@ class TestMalformedInput:
         assert code == 3
         assert key in capsys.readouterr().err
 
+    def test_config_key_given_twice_exits_3_naming_it_and_both_lines(self, data_dir,
+                                                                     tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 1.0\n# a comment\nsteps = 2\nalpha = 0.5\n")
+        out = tmp_path / "run"
+        code = cli.main(fast_train_args(data_dir, out, ["--config", str(config)]))
+        assert code == 3
+        assert f"{config}:4: key 'alpha' is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
     def test_unreadable_input_exits_3_naming_it_before_any_step(
             self, data_dir, tmp_path, capsys, monkeypatch, case):
@@ -748,6 +789,21 @@ class TestMalformedInput:
         code = cli.main(fast_train_args(broken, tmp_path / "run"))
         assert code == 3
         assert "n_test" in capsys.readouterr().err
+
+    def test_dataset_manifest_key_given_twice_exits_3_naming_it(self, data_dir, tmp_path,
+                                                               capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        manifest = broken / "manifest.txt"
+        lines = manifest.read_text().splitlines(True)
+        first = next(n for n, line in enumerate(lines, 1) if line.startswith("n_source="))
+        manifest.write_text("".join(lines) + "n_source=2\n")
+        out = tmp_path / "run"
+        code = cli.main(fast_train_args(broken, out))
+        assert code == 3
+        assert (f"{manifest}:{len(lines) + 1}: key 'n_source' is already set on line {first}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("counts, size, key", [((3, 3, 2), 30, "height"),
                                                    ((3, 0, 2), 32, "n_target"),

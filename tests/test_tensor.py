@@ -34,6 +34,39 @@ def conv2d_loops(x, k, stride=1, padding=0):
     return out
 
 
+def conv2d_windows(x, k, stride, padding, g):
+    """(out, dx, dk) of a conv whose output gradient is g, with im2col
+    columns from sliding_window_view's 6-d transpose-reshape. It performs
+    the same matmuls and scatter on the same columns as tc.conv2d, so the
+    two agree bit for bit."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = xp.shape[2:]
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, ho * wo)
+    kmat = k.reshape(cout, cin * kh * kw)
+    out = (kmat @ cols).reshape(n, cout, ho, wo)
+    g3 = g.reshape(n, cout, ho * wo)
+    dk = (g3 @ cols.transpose(0, 2, 1)).sum(0).reshape(k.shape)
+    dcols = (kmat.T @ g3).reshape(n, cin, kh, kw, ho, wo)
+    dxp = np.zeros((n, cin, hp, wp))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
+    return out, dxp[:, :, padding:padding + h, padding:padding + w], dk
+
+
+def conv2d_with_grads(x, k, stride, padding, g):
+    """(output tensor, dx, dk) of tc.conv2d for output gradient g."""
+    out = tc.conv2d(tc.Tensor(x, requires_grad=True), tc.Tensor(k, requires_grad=True),
+                    stride=stride, padding=padding)
+    dx, dk = out.op.backward_fn(g)
+    return out, dx, dk
+
+
 def bilinear_loops(x, out_h, out_w):
     n, c, h, w = x.shape
     out = np.zeros((n, c, out_h, out_w))
@@ -162,6 +195,48 @@ class TestConv2d:
             numeric = finite_difference(lambda: loss_fn().item(), p)
             assert relative_error(p.grad, numeric) < 1e-3
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("kernel", [(1, 1), (1, 3), (2, 3), (3, 3)],
+                             ids=["1x1", "1x3", "2x3", "3x3"])
+    def test_output_and_gradients_equal_window_view_im2col(self, n, stride, padding,
+                                                           kernel):
+        rng = np.random.default_rng(100 * stride + 10 * padding + n)
+        x = rng.normal(size=(n, 3, 7, 5))
+        k = rng.normal(size=(4, 3, *kernel))
+        ho = (7 + 2 * padding - kernel[0]) // stride + 1
+        wo = (5 + 2 * padding - kernel[1]) // stride + 1
+        g = rng.normal(size=(n, 4, ho, wo))
+        out, dx, dk = conv2d_with_grads(x, k, stride, padding, g)
+        ref_out, ref_dx, ref_dk = conv2d_windows(x, k, stride, padding, g)
+        np.testing.assert_array_equal(out.data, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
+        np.testing.assert_array_equal(dk, ref_dk)
+
+    def test_a_conv_between_forward_and_backward_leaves_results_intact(self):
+        # conv B needs more scratch than conv A; run once first, it sizes the
+        # buffer, so its second run overwrites all of A's columns in place
+        # between A's forward and A's backward
+        rng = np.random.default_rng(31)
+        xa, ka = rng.normal(size=(1, 2, 6, 5)), rng.normal(size=(3, 2, 3, 3))
+        xb, kb = rng.normal(size=(2, 4, 16, 16)), rng.normal(size=(5, 4, 3, 3))
+        ga = rng.normal(size=(1, 3, 6, 5))
+        gb = rng.normal(size=(2, 5, 16, 16))
+        alone = conv2d_with_grads(xa, ka, 1, 1, ga)
+        conv2d_with_grads(xb, kb, 1, 1, gb)
+
+        a = tc.conv2d(tc.Tensor(xa, requires_grad=True), tc.Tensor(ka, requires_grad=True),
+                      stride=1, padding=1)
+        scratch = tc._SCRATCH
+        conv2d_with_grads(xb, kb, 1, 1, gb)
+        assert tc._SCRATCH is scratch
+        dx, dk = a.op.backward_fn(ga)
+        assert tc._SCRATCH is scratch
+        for got, want in zip((a.data, dx, dk), (alone[0].data, *alone[1:])):
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, scratch)
+
     def test_channel_mismatch_raises(self):
         x = tc.Tensor(np.zeros((1, 2, 4, 4)))
         k = tc.Tensor(np.zeros((1, 3, 3, 3)))
@@ -195,6 +270,15 @@ class TestRelu:
         x = tc.Tensor([0.0], requires_grad=True)
         tc.backward(tc.total(tc.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0])
+
+    def test_negative_zero_maps_to_positive_zero(self):
+        out = tc.relu(tc.Tensor([-0.0, 0.0, -1.0]))
+        assert not np.signbit(out.data).any()
+
+    def test_nan_propagates(self):
+        out = tc.relu(tc.Tensor([np.nan, -1.0, 2.0]))
+        assert np.isnan(out.data[0])
+        np.testing.assert_array_equal(out.data[1:], [0.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

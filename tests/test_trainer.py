@@ -15,7 +15,7 @@ from daplab import tensor as tc
 from daplab import trainer as tr
 from daplab.classes import NUM_CLASSES
 from daplab.datagen import DatasetBundle
-from daplab.errors import InputError
+from daplab.errors import InputError, NumericError
 from daplab.priors import build_one_hot, build_random, downsample_embedding, proj
 from daplab.tensor import Tensor
 
@@ -250,6 +250,14 @@ class TestTrainStep:
             trainer.train_step()
         assert all(p.grad is None for p in trainer.teacher.params.values())
         np.testing.assert_array_equal(trainer.embeddings.vectors, frozen_vectors)
+
+    def test_nan_first_layer_weight_raises_numeric_error(self, bundle):
+        # ReLU passes the NaN on, so the step cannot train on with a
+        # poisoned layer whose activations read as zero
+        trainer = tr.Trainer(small_config(), bundle)
+        trainer.student.params["backbone.conv1"].data[0, 0, 1, 1] = np.nan
+        with pytest.raises(NumericError, match="non-finite loss at step 0"):
+            trainer.train_step()
 
     def test_seg_loss_decreases_with_training(self, bundle):
         for seed in range(5):

@@ -2,10 +2,11 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \
         --workloads eval-diagnose,train-dap,train-prior300 --seeds 1-10 \
-        --seconds 30 --tag forward-kernels [--traced-seed 1]
+        --tag forward-kernels [--traced-seed 1]
 
 For each workload and seed it runs `perfbench/run.py --trace 0` once in
-each checkout, one run at a time; the parent runs first on the 1st, 3rd,
+each checkout, one run at a time, for the `run_seconds` that
+`BENCHMARK.json` fixes; the parent runs first on the 1st, 3rd,
 ... seed of the list and second on the others, so a drift of the host's
 speed falls on both sides alike. Every end-to-end metric that
 `BENCHMARK.json` lists is recorded per seed, with each side's median and
@@ -36,7 +37,7 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One perfbench run: its environment stamp and its JSON result line."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -85,7 +86,6 @@ def main(argv=None) -> int:
                         help="comma-separated perfbench workload names")
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="seed list, e.g. 1-10 or 1,3,5")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--tag", required=True)
     parser.add_argument("--traced-seed", type=int)
     parser.add_argument("--out", type=Path, help="directory for BENCH_<tag>.json")
@@ -94,8 +94,9 @@ def main(argv=None) -> int:
         parser.error("--seeds needs at least two seeds for quartiles")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    record = {"tag": args.tag, "seconds": args.seconds, "seeds": args.seeds,
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    record = {"tag": args.tag, "seconds": seconds, "seeds": args.seeds,
               "order": "parent first on the odd-numbered seeds of the list",
               "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "workloads": {}}
     for workload in args.workloads.split(","):
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
         failed = {"parent": 0, "change": 0}
         for k, seed in enumerate(args.seeds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                result = bench(checkouts[side], workload, seed, args.seconds, trace=0)
+                result = bench(checkouts[side], workload, seed, seconds, trace=0)
                 runs[side][seed] = result
                 failed[side] += result["failed"]
                 record.setdefault("env", result["env"])
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
         if args.traced_seed is not None:
             entry["traced"] = {"seed": args.traced_seed}
             for side, checkout in checkouts.items():
-                result = bench(checkout, workload, args.traced_seed, args.seconds, trace=1)
+                result = bench(checkout, workload, args.traced_seed, seconds, trace=1)
                 entry["traced"][side] = {
                     "correct": result["correct"], "checks": result["checks"],
                     "metrics": {name: m["value"] for name, m in result["metrics"].items()}}

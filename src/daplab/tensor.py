@@ -5,18 +5,12 @@ Deliberately small: only the kernels a tiny segmentation network needs
 plus an SGD optimizer with Nesterov momentum and polynomial decay.
 Everything is float64 and single-threaded per graph; verifiability beats
 throughput at this scale.
-
-conv2d builds its im2col columns in one module-level scratch buffer that
-every call reuses (see `_scratch`). That rests on the same assumption: one
-thread runs the ops, and no conv's columns outlive the call that built
-them. Processes (the sweep's workers) each have their own buffer.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -236,22 +230,6 @@ def take_batch(x: Tensor, index: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-_SCRATCH = np.empty(0)
-
-
-def _scratch(shape: tuple) -> np.ndarray:
-    """A C-contiguous float64 view of `shape` on the shared scratch buffer,
-    which grows to the largest request and is never shrunk. Every call
-    returns memory over the previous call's, so a caller must finish with
-    its view before the next call and must not return or keep it. Each
-    caller writes its whole view before reading it, so nothing but the
-    buffer's size carries from one call to the next."""
-    global _SCRATCH
-    size = math.prod(shape)
-    if _SCRATCH.size < size:
-        _SCRATCH = np.empty(size)
-    return _SCRATCH[:size].reshape(shape)
-
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw].
@@ -263,10 +241,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     row (c, i, j) holds tap (i, j) of input channel c for every output
     position, so `kernel` reshaped to [Cout, Cin*kh*kw] times the columns is
     the output in NCHW order. A 1x1, stride-1 kernel's columns are a view of
-    the (padded) input; any other kernel's are copied tap by tap into the
-    shared scratch buffer, and the backward writes its column gradient there
-    too, after dk has used the rebuilt columns. `out`, `dx` and `dk` are
-    fresh arrays: nothing returned or kept by the graph views the buffer.
+    the (padded) input; any other kernel's are copied tap by tap, one
+    strided slice per (i, j), into a fresh [N,Cin,kh,kw,Ho,Wo] array.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and kernel")
@@ -291,7 +267,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     def columns():
         if kh == kw == stride == 1:
             return xp.reshape(n, cin, ho * wo)
-        cols = _scratch((n, cin, kh, kw, ho, wo))
+        cols = np.empty((n, cin, kh, kw, ho, wo))
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride,
@@ -309,8 +285,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             # not columns kh*kw times its size, from forward to backward
             dk = (g3 @ columns().transpose(0, 2, 1)).sum(0).reshape(cout, cin, kh, kw)
         if x.requires_grad:
-            dcols = np.matmul(kmat.T, g3, out=_scratch((n, cin * kh * kw, ho * wo)))
-            dcols = dcols.reshape(n, cin, kh, kw, ho, wo)
+            dcols = (kmat.T @ g3).reshape(n, cin, kh, kw, ho, wo)
             dxp = np.zeros((n, cin, hp, wp))
             for i in range(kh):
                 for j in range(kw):

@@ -110,13 +110,17 @@ def config_to_text(config: TrainConfig) -> str:
 
 def parse_config(path) -> TrainConfig:
     """A key = value file in the manifest format (datagen.parse_manifest).
-    Each value is parsed as the type its TrainConfig field declares."""
+    Each value is parsed as the type its TrainConfig field declares. A
+    field set twice, under its file key and its field name, is an error."""
     types = get_type_hints(TrainConfig)
-    kwargs = {}
+    kwargs, key_for = {}, {}
     for key, value in parse_manifest(path).items():
         name = _CONFIG_FIELD_FOR_KEY.get(key, key)
         if name not in types:
             raise InputError(f"{path}: unknown config key {name!r}")
+        if name in key_for:
+            raise InputError(f"{path}: keys {key_for[name]!r} and {key!r} both set {name!r}")
+        key_for[name] = key
         try:
             kwargs[name] = _coerce(types[name], value)
         except ValueError:

@@ -699,6 +699,13 @@ class TestMalformedInput:
         assert f"{config}:4: key 'alpha' is already set on line 1" in capsys.readouterr().err
         assert not out.exists()
 
+        config.write_text("lambda = 0.9\nema_lambda = 0.5\n")
+        code = cli.main(fast_train_args(data_dir, out, ["--config", str(config)]))
+        assert code == 3
+        assert (f"{config}: keys 'lambda' and 'ema_lambda' both set 'ema_lambda'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
     def test_unreadable_input_exits_3_naming_it_before_any_step(
             self, data_dir, tmp_path, capsys, monkeypatch, case):

@@ -215,27 +215,24 @@ class TestConv2d:
         np.testing.assert_array_equal(dk, ref_dk)
 
     def test_a_conv_between_forward_and_backward_leaves_results_intact(self):
-        # conv B needs more scratch than conv A; run once first, it sizes the
-        # buffer, so its second run overwrites all of A's columns in place
-        # between A's forward and A's backward
+        # a larger conv B runs its forward and backward between conv A's
+        # forward and A's backward: A's results equal A run alone, and none
+        # of them shares memory with B's
         rng = np.random.default_rng(31)
         xa, ka = rng.normal(size=(1, 2, 6, 5)), rng.normal(size=(3, 2, 3, 3))
         xb, kb = rng.normal(size=(2, 4, 16, 16)), rng.normal(size=(5, 4, 3, 3))
         ga = rng.normal(size=(1, 3, 6, 5))
         gb = rng.normal(size=(2, 5, 16, 16))
         alone = conv2d_with_grads(xa, ka, 1, 1, ga)
-        conv2d_with_grads(xb, kb, 1, 1, gb)
 
         a = tc.conv2d(tc.Tensor(xa, requires_grad=True), tc.Tensor(ka, requires_grad=True),
                       stride=1, padding=1)
-        scratch = tc._SCRATCH
-        conv2d_with_grads(xb, kb, 1, 1, gb)
-        assert tc._SCRATCH is scratch
+        b_out, b_dx, b_dk = conv2d_with_grads(xb, kb, 1, 1, gb)
         dx, dk = a.op.backward_fn(ga)
-        assert tc._SCRATCH is scratch
         for got, want in zip((a.data, dx, dk), (alone[0].data, *alone[1:])):
             np.testing.assert_array_equal(got, want)
-            assert not np.shares_memory(got, scratch)
+            for other in (b_out.data, b_dx, b_dk):
+                assert not np.shares_memory(got, other)
 
     def test_channel_mismatch_raises(self):
         x = tc.Tensor(np.zeros((1, 2, 4, 4)))

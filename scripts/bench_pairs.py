@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \
         --workloads eval-diagnose,train-dap,train-prior300 --seeds 1-10 \
-        --tag forward-kernels [--traced-seed 1]
+        --tag forward-kernels [--traced-seed 1-3]
 
 For each workload and seed it runs `perfbench/run.py --trace 0` once in
 each checkout, one run at a time, for the `run_seconds` that
@@ -11,9 +11,12 @@ each checkout, one run at a time, for the `run_seconds` that
 speed falls on both sides alike. Every end-to-end metric that
 `BENCHMARK.json` lists is recorded per seed, with each side's median and
 quartiles and the number of seeds on which the change was better. With
-`--traced-seed`, each side also makes one `--trace 1` run per workload and
-its per-layer metrics and checks are recorded. The file also holds the
-environment stamp that perfbench prints, and is written to the change
+`--traced-seed` (a seed list, in the same form as `--seeds`), each side
+also makes one `--trace 1` run per workload and listed seed, in the same
+alternating order. Each run's checks are recorded, and so are each
+per-layer metric's per-seed values and their median: one traced run per
+side can read every layer slower or faster by chance. The file also holds
+the environment stamp that perfbench prints, and is written to the change
 checkout unless `--out` says otherwise.
 """
 
@@ -35,6 +38,11 @@ def parse_seeds(text: str) -> list:
         first, _, last = part.partition("-")
         seeds += range(int(first), int(last or first) + 1)
     return seeds
+
+
+def sides_in_order(k: int) -> tuple:
+    """The parent runs first on the 1st, 3rd, ... seed of a list."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -78,6 +86,31 @@ def summarize(metrics: list, runs: dict, seeds: list) -> dict:
     return out
 
 
+def traced_runs(checkouts: dict, workload: str, seeds: list, seconds: int) -> dict:
+    """Per side: each traced run's checks, and each per-layer metric's
+    per-seed values and their median."""
+    runs = {"parent": {}, "change": {}}
+    for k, seed in enumerate(seeds):
+        for side in sides_in_order(k):
+            result = runs[side][seed] = bench(checkouts[side], workload, seed, seconds,
+                                              trace=1)
+            print(f"{workload} traced seed {seed} {side}: correct={result['correct']}",
+                  flush=True)
+    out = {"seeds": seeds}
+    for side, by_seed in runs.items():
+        names = sorted(set().union(*(r["metrics"] for r in by_seed.values())))
+        per_seed = {name: {str(seed): r["metrics"][name]["value"]
+                           for seed, r in by_seed.items() if name in r["metrics"]}
+                    for name in names}
+        out[side] = {
+            "correct": all(r["correct"] for r in by_seed.values()),
+            "checks": {str(seed): r["checks"] for seed, r in by_seed.items()},
+            "metrics": {name: {"per_seed": values,
+                               "median": statistics.median(values.values())}
+                        for name, values in per_seed.items()}}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -87,7 +120,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="seed list, e.g. 1-10 or 1,3,5")
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--traced-seed", type=int)
+    parser.add_argument("--traced-seed", type=parse_seeds,
+                        help="seed list for --trace 1 runs, in the form of --seeds")
     parser.add_argument("--out", type=Path, help="directory for BENCH_<tag>.json")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
@@ -103,7 +137,7 @@ def main(argv=None) -> int:
         runs = {"parent": {}, "change": {}}
         failed = {"parent": 0, "change": 0}
         for k, seed in enumerate(args.seeds):
-            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            for side in sides_in_order(k):
                 result = bench(checkouts[side], workload, seed, seconds, trace=0)
                 runs[side][seed] = result
                 failed[side] += result["failed"]
@@ -115,13 +149,8 @@ def main(argv=None) -> int:
                  "all_correct": all(r["correct"] for side in runs.values()
                                     for r in side.values()),
                  "metrics": summarize(metrics, runs, args.seeds)}
-        if args.traced_seed is not None:
-            entry["traced"] = {"seed": args.traced_seed}
-            for side, checkout in checkouts.items():
-                result = bench(checkout, workload, args.traced_seed, seconds, trace=1)
-                entry["traced"][side] = {
-                    "correct": result["correct"], "checks": result["checks"],
-                    "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+        if args.traced_seed:
+            entry["traced"] = traced_runs(checkouts, workload, args.traced_seed, seconds)
         record["workloads"][workload] = entry
 
     path = (args.out or checkouts["change"]) / f"BENCH_{args.tag}.json"

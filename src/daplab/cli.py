@@ -299,8 +299,13 @@ def main(argv=None) -> int:
     except InputError as failure:
         print(f"error: {failure}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as failure:  # an output path that cannot be written
-        print(f"error: {failure.filename}: {failure.strerror}", file=sys.stderr)
+    except OSError as failure:  # an output that cannot be written
+        where = failure.filename
+        if where is None and isinstance(failure, BrokenPipeError):
+            where = "standard output"  # its reader went away, as in `| head -1`
+        reason = failure.strerror or str(failure)
+        print(f"error: {reason}" if where is None else f"error: {where}: {reason}",
+              file=sys.stderr)
         return EXIT_INPUT
     except NumericError as failure:
         print(f"numeric failure: {failure}", file=sys.stderr)

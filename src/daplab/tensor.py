@@ -5,11 +5,15 @@ Deliberately small: only the kernels a tiny segmentation network needs
 plus an SGD optimizer with Nesterov momentum and polynomial decay.
 Everything is float64 and single-threaded per graph; verifiability beats
 throughput at this scale.
+
+Importing this module makes glibc keep freed heap in the process (see
+_keep_freed_heap), so a step's arrays reuse the pages of the step before.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -19,6 +23,34 @@ from .errors import DimensionError
 
 _GRAD_ENABLED = True
 _RECORD_SEQ = itertools.count()        # OpRecord.seq: creation order
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3      # glibc <malloc.h>
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc's malloc serve step-sized arrays from the heap and keep
+    the heap it frees.
+
+    By default glibc `mmap`s each allocation above its mmap threshold and
+    trims the top of the heap once it holds more than its trim threshold,
+    so each step's multi-MB float64 arrays go back to the kernel and are
+    page-faulted in again by the next step. Raising the mmap threshold to
+    32 MiB (glibc's 64-bit maximum) and the trim threshold to 64 MiB makes
+    a step's arrays reuse the pages of the step before. Both are set,
+    because setting either one turns off glibc's dynamic thresholds. The
+    setting acts on this process only. Without glibc's `mallopt` (musl,
+    macOS, Windows) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):  # 0: above this build's maximum
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap()
 
 
 @contextlib.contextmanager

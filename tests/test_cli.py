@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import multiprocessing
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -718,6 +720,26 @@ class TestMalformedInput:
         assert all(name in err for name in named), err
         assert calls == []
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("failure, message", [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), "error: standard output: Broken pipe"),
+        (OSError(errno.EIO, "Input/output error"), "error: Input/output error"),
+    ], ids=["broken-pipe", "no-filename"])
+    def test_unwritable_stdout_exits_3_without_printing_none(self, tmp_path, capsys,
+                                                             monkeypatch, failure, message):
+        class FailingStdout:
+            def write(self, text):
+                raise failure
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        code = cli.main(["gen", "--out", str(tmp_path / "data"), "--size", "16",
+                         "--n-source", "1", "--n-target", "1", "--n-test", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == message + "\n"
 
     def test_bad_checkpoint_exits_3_and_names_file(self, data_dir, tmp_path, capsys):
         truncated = tmp_path / "truncated.ckpt"

@@ -1,5 +1,10 @@
 import gc
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -658,3 +663,58 @@ def test_same_seed_same_sequence_bit_identical():
 def test_finiteness_helper():
     assert tc.Tensor([1.0, 2.0]).is_finite()
     assert not tc.Tensor([1.0, float("nan")]).is_finite()
+
+
+# ---------------------------------------------------------------------------
+# the heap setting made when the module is imported
+
+FAULTS_PER_CONV = """
+import resource
+import numpy as np
+from daplab import tensor as tc
+
+rng = np.random.default_rng(0)
+x = tc.Tensor(rng.standard_normal((2, 3, 64, 64)))
+k = tc.Tensor(rng.standard_normal((16, 3, 3, 3)))
+for _ in range(5):
+    tc.conv2d(x, k, padding=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    tc.conv2d(x, k, padding=1)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_repeated_conv_reuses_freed_heap_without_page_faults():
+    """A fresh interpreter, so no heap history of other tests hides a
+    regression: with glibc's default thresholds each call maps its columns
+    and output anew and takes about 700 minor page faults."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_CONV], env=env,
+                          capture_output=True, text=True, check=True)
+    assert float(done.stdout) < 10
+
+
+def test_heap_setting_is_skipped_without_mallopt_or_when_it_refuses(monkeypatch):
+    calls = []
+
+    def refusing_mallopt(param, value):
+        calls.append(param)
+        return 0
+
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    class RefusingMallopt(NoMallopt):
+        mallopt = staticmethod(refusing_mallopt)
+
+    monkeypatch.setattr(tc.ctypes, "CDLL", NoMallopt)
+    tc._keep_freed_heap()
+    monkeypatch.setattr(tc.ctypes, "CDLL", RefusingMallopt)
+    tc._keep_freed_heap()
+    # a refused mmap threshold leaves the trim threshold, and glibc's
+    # dynamic thresholds, as they were
+    assert calls == [tc._M_MMAP_THRESHOLD]

@@ -69,7 +69,8 @@ def parameter_shapes(prior_dim: int = NUM_CLASSES) -> dict:
 
 
 def init_student(seed: int, prior_dim: int = NUM_CLASSES) -> ModelState:
-    """Fresh student parameters; the backbone halves resolution twice."""
+    """Fresh float64 student parameters; the backbone halves resolution
+    twice. The trainer runs them in float32 (`to_float32`)."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in parameter_shapes(prior_dim).items():
@@ -78,6 +79,15 @@ def init_student(seed: int, prior_dim: int = NUM_CLASSES) -> ModelState:
             weight *= PROJECTOR_INIT_SCALE
         params[name] = Tensor(weight, requires_grad=True)
     return ModelState(params, role="student")
+
+
+def to_float32(state: ModelState) -> ModelState:
+    """Round `state`'s parameters to float32 in place and return it. Every
+    model the lab trains or loads runs in float32; a float32 -> float64 ->
+    float32 checkpoint round trip is exact."""
+    for p in state.params.values():
+        p.data = p.data.astype(np.float32, copy=False)
+    return state
 
 
 def make_teacher(student: ModelState) -> ModelState:
@@ -90,13 +100,15 @@ def make_teacher(student: ModelState) -> ModelState:
 def forward(state: ModelState, image: Tensor, project: bool = True) -> ForwardOutput:
     """Backbone (stride pattern 1,2,2) -> features; 1x1 head up-sampled to
     input resolution -> logits; 1x1 projection of the features (skippable
-    for inference paths that only want logits)."""
+    for inference paths that only want logits). The image is cast to the
+    kernels' dtype."""
     n, c, h, w = image.data.shape
     if c != 3:
         raise DimensionError(f"expected 3 input channels, got {c}")
     if h % INPUT_SIZE_MULTIPLE or w % INPUT_SIZE_MULTIPLE:
         raise DimensionError(f"input size {h}x{w} must be divisible by {INPUT_SIZE_MULTIPLE}")
     p = state.params
+    image = _as_kernel_dtype(image, p["backbone.conv1"])
     x = tc.relu(tc.conv2d(image, p["backbone.conv1"], stride=1, padding=1))
     x = tc.relu(tc.conv2d(x, p["backbone.conv2"], stride=2, padding=1))
     features = tc.relu(tc.conv2d(x, p["backbone.conv3"], stride=2, padding=1))
@@ -105,14 +117,23 @@ def forward(state: ModelState, image: Tensor, project: bool = True) -> ForwardOu
     return ForwardOutput(features, logits, projected)
 
 
+def _as_kernel_dtype(x: Tensor, kernel: Tensor) -> Tensor:
+    """`x`, or a constant copy of it in `kernel`'s dtype."""
+    if x.data.dtype == kernel.data.dtype:
+        return x
+    return Tensor(x.data.astype(kernel.data.dtype))
+
+
 def project_prior(state: ModelState, embedding_map: Tensor) -> Tensor:
-    """Map a [N,D,h,w] embedding map into the common space."""
+    """Map a [N,D,h,w] embedding map into the common space, cast to the
+    projector's dtype."""
     d = embedding_map.data.shape[1]
     expected = state.params["gpr.conv"].data.shape[1]
     if d != expected:
         raise DimensionError(
             f"embedding map has {d} channels but the projector expects {expected}")
-    return tc.conv2d(embedding_map, state.params["gpr.conv"])
+    kernel = state.params["gpr.conv"]
+    return tc.conv2d(_as_kernel_dtype(embedding_map, kernel), kernel)
 
 
 def ema_update(teacher: ModelState, student: ModelState, decay: float) -> None:
@@ -186,9 +207,9 @@ def load_checkpoint(path) -> dict:
 
 
 def state_from_arrays(arrays: dict, role: str) -> ModelState:
-    """Model parameters from checkpoint arrays, checked by name and shape. The
-    prior width is read from `gpr.conv`, so a checkpoint trained with any
-    prior loads."""
+    """Float32 model parameters from checkpoint arrays, checked by name and
+    shape. The prior width is read from `gpr.conv`, so a checkpoint trained
+    with any prior loads."""
     expected = parameter_shapes().keys()
     missing, unexpected = sorted(expected - arrays.keys()), sorted(arrays.keys() - expected)
     if missing or unexpected:
@@ -200,5 +221,5 @@ def state_from_arrays(arrays: dict, role: str) -> ModelState:
             raise InputError(f"checkpoint parameter {name} has shape {arrays[name].shape}, "
                              f"expected {shape}")
     requires_grad = role == "student"
-    return ModelState({name: Tensor(arr, requires_grad=requires_grad)
-                       for name, arr in arrays.items()}, role=role)
+    return to_float32(ModelState({name: Tensor(arr, requires_grad=requires_grad)
+                                  for name, arr in arrays.items()}, role=role))

@@ -1,10 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic
+differentiation.
 
 Deliberately small: only the kernels a tiny segmentation network needs
 (convolution, ReLU, bilinear/nearest resizing, the two loss reductions)
 plus an SGD optimizer with Nesterov momentum and polynomial decay.
-Everything is float64 and single-threaded per graph; verifiability beats
-throughput at this scale.
+Each op computes in its inputs' dtype, and so does its backward: float32
+inputs give float32 outputs and gradients, float64 inputs float64 ones.
+The scalar reductions (`total` and the two losses) are the exception:
+they accumulate into a float64 0-d tensor, and their backward hands on
+gradients in the input's dtype again. Training runs in
+float32; the finite-difference checks feed float64. Everything is
+single-threaded per graph.
 
 Importing this module makes glibc keep freed heap in the process (see
 _keep_freed_heap), so a step's arrays reuse the pages of the step before.
@@ -66,9 +72,10 @@ def no_grad():
 
 
 class Tensor:
-    """A dense float64 array with an optional gradient buffer.
+    """A dense float32 or float64 array with an optional gradient buffer.
 
-    `data` is row-major. `grad`, once populated by backward(), has the same
+    `data` is row-major; a float32 array stays float32 and anything else
+    becomes float64. `grad`, once populated by backward(), has the same
     shape as `data` and accumulates across backward() calls until
     reset_gradients() clears it. `op` is the record that produced this
     tensor, or None for leaves.
@@ -77,7 +84,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "op")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -141,6 +150,7 @@ def backward(loss: Tensor) -> None:
     Adds dLoss/dTensor to .grad of each leaf (a tensor without an op record)
     that requires a gradient and that `loss` depends on, and ones to `loss`'s
     own .grad when it requires one; intermediate results get no .grad.
+    A .grad has its tensor's dtype.
     Calling twice without reset_gradients() adds the gradients again.
     """
     if loss.data.size != 1:
@@ -176,7 +186,7 @@ def backward(loss: Tensor) -> None:
         if not holder.requires_grad:
             continue
         if holder.grad is None:
-            holder.grad = np.array(grad, dtype=np.float64, copy=True)
+            holder.grad = np.array(grad, dtype=holder.data.dtype, copy=True)
         else:
             holder.grad = holder.grad + grad
 
@@ -223,12 +233,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def total(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
+    """Sum of all elements, accumulated in float64, as a scalar tensor."""
 
     def back(g):
         return (np.full_like(x.data, float(g)),)
 
-    return _emit("total", (x,), np.float64(x.data.sum()), back)
+    return _emit("total", (x,), x.data.sum(dtype=np.float64), back)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -274,7 +284,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     position, so `kernel` reshaped to [Cout, Cin*kh*kw] times the columns is
     the output in NCHW order. A 1x1, stride-1 kernel's columns are a view of
     the (padded) input; any other kernel's are copied tap by tap, one
-    strided slice per (i, j), into a fresh [N,Cin,kh,kw,Ho,Wo] array.
+    strided slice per (i, j), into a fresh [N,Cin,kh,kw,Ho,Wo] array. The
+    padded input, the columns and the input gradient have x's dtype.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and kernel")
@@ -291,7 +302,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = (wp - kw) // stride + 1
 
     if padding:
-        xp = np.zeros((n, cin, hp, wp))
+        xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
         xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
@@ -299,7 +310,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     def columns():
         if kh == kw == stride == 1:
             return xp.reshape(n, cin, ho * wo)
-        cols = np.empty((n, cin, kh, kw, ho, wo))
+        cols = np.empty((n, cin, kh, kw, ho, wo), dtype=xp.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride,
@@ -318,7 +329,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             dk = (g3 @ columns().transpose(0, 2, 1)).sum(0).reshape(cout, cin, kh, kw)
         if x.requires_grad:
             dcols = (kmat.T @ g3).reshape(n, cin, kh, kw, ho, wo)
-            dxp = np.zeros((n, cin, hp, wp))
+            dxp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i:i + stride * ho:stride,
@@ -335,15 +346,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 _RESIZE_CACHE: dict = {}
 
 
-def _resize_matrix(in_size: int, out_size: int, mode: str) -> np.ndarray:
-    """Row-stochastic [out_size, in_size] sampling matrix.
+def _resize_matrix(in_size: int, out_size: int, mode: str,
+                   dtype=np.float64) -> np.ndarray:
+    """Row-stochastic [out_size, in_size] sampling matrix of `dtype`.
 
     Source coordinate for output index d: s = (d + 0.5) * in/out - 0.5,
     clamped to [0, in-1]. Bilinear rows blend floor(s) and floor(s)+1;
     nearest rows pick round(s) with exact halves resolved toward the lower
     index. Resizing to the same size yields the identity matrix exactly.
+    The weights are computed in float64 and rounded once to `dtype`.
     """
-    key = (in_size, out_size, mode)
+    key = (in_size, out_size, mode, np.dtype(dtype))
     cached = _RESIZE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -361,7 +374,7 @@ def _resize_matrix(in_size: int, out_size: int, mode: str) -> np.ndarray:
         mat[np.arange(out_size), nearest] = 1.0
     else:
         raise ValueError(f"unknown resize mode {mode!r}")
-    _RESIZE_CACHE[key] = mat
+    mat = _RESIZE_CACHE[key] = mat.astype(dtype, copy=False)
     return mat
 
 
@@ -371,8 +384,8 @@ def _resize(x: Tensor, out_h: int, out_w: int, mode: str) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise DimensionError("resize: target sizes must be >= 1")
     n, c, h, w = x.data.shape
-    ay = _resize_matrix(h, out_h, mode)
-    ax = _resize_matrix(w, out_w, mode)
+    ay = _resize_matrix(h, out_h, mode, x.data.dtype)
+    ax = _resize_matrix(w, out_w, mode, x.data.dtype)
 
     def back(g):
         return (ay.T @ (g @ ax),)
@@ -399,7 +412,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 2
 
     `labels` is an integer [N,H,W] array; entries equal to `ignore_id`
     contribute nothing. Raises if every pixel is ignored (the mean would be
-    undefined) or if a label falls outside [0, C).
+    undefined) or if a label falls outside [0, C). The log-softmax has the
+    logits' dtype; the mean is accumulated in float64.
     """
     if logits.data.ndim != 4:
         raise DimensionError("softmax_cross_entropy expects [N,C,H,W] logits")
@@ -420,14 +434,14 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 2
     log_probs = shifted - log_z                                          # [N,C,H,W]
     safe_lab = np.where(valid, lab, 0)
     picked = np.take_along_axis(log_probs, safe_lab[:, None], axis=1)[:, 0]
-    loss = -(picked[valid].sum()) / count
+    loss = -(picked[valid].sum(dtype=np.float64)) / count
 
     def back(g):
         soft = np.exp(log_probs)
-        grad = soft * (valid[:, None] / count)
+        grad = soft * (valid[:, None] / soft.dtype.type(count))
         nz = np.nonzero(valid)
         grad[nz[0], lab[valid], nz[1], nz[2]] -= 1.0 / count
-        return (grad * g,)
+        return (grad * float(g),)
 
     return _emit("softmax_cross_entropy", (logits,), np.float64(loss), back)
 
@@ -437,15 +451,16 @@ def sum_squared_error(a: Tensor, b: Tensor) -> Tensor:
 
     Axis 1 is the channel axis for stacked maps ([N,C,...]); a 1-d tensor is
     a single channel vector at one position. Symmetric, zero iff a == b.
+    The sum is accumulated in float64.
     """
     if a.shape != b.shape:
         raise DimensionError(f"sum_squared_error: {a.shape} vs {b.shape}")
     diff = a.data - b.data
     positions = 1 if diff.ndim <= 1 else diff.size // diff.shape[1]
-    loss = float((diff * diff).sum() / positions)
+    loss = float((diff * diff).sum(dtype=np.float64) / positions)
 
     def back(g):
-        d = (2.0 / positions) * diff * g
+        d = (2.0 / positions) * diff * float(g)
         return (d if a.requires_grad else None,
                 -d if b.requires_grad else None)
 

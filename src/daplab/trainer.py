@@ -187,7 +187,7 @@ def train_supervised(items, steps: int, seed: int) -> md.ModelState:
     """Plain cross-entropy training on a labeled split; used for oracle and
     source-only control models. Fixed recipe: make_optimizer at base lr 0.02
     with polynomial decay."""
-    state = md.init_student(seed)
+    state = md.to_float32(md.init_student(seed))
     optimizer = make_optimizer(state, SUPERVISED_LR)
     order = np.random.default_rng(seed)
     for step in range(steps):
@@ -222,7 +222,8 @@ class Trainer:
                              "target-train images")
         self.embeddings = make_embeddings(config.prior, dim=config.prior_dim,
                                           seed=config.seed + 1_000_000_007)
-        self.student = md.init_student(config.seed, prior_dim=self.embeddings.dim)
+        self.student = md.to_float32(
+            md.init_student(config.seed, prior_dim=self.embeddings.dim))
         self.teacher = md.make_teacher(self.student)
         self.optimizer = make_optimizer(self.student, config.lr)
 
@@ -323,12 +324,14 @@ class Trainer:
         self.step_index = int(arrays["step"][0])
         self.best_step = int(arrays["best_step"][0])
         self.best_score = float(arrays["best_score"][0])
+        # each record takes its live array's dtype; float32 -> <f8 -> float32
+        # is exact, so a resumed run continues bit for bit
         for name, p in self.student.named():
-            p.data = arrays[f"student.{name}"]
+            p.data = arrays[f"student.{name}"].astype(p.data.dtype)
         for name, p in self.teacher.named():
-            p.data = arrays[f"teacher.{name}"]
-        for name in self.optimizer.velocity:
-            self.optimizer.velocity[name] = arrays[f"velocity.{name}"]
+            p.data = arrays[f"teacher.{name}"].astype(p.data.dtype)
+        for name, v in self.optimizer.velocity.items():
+            self.optimizer.velocity[name] = arrays[f"velocity.{name}"].astype(v.dtype)
 
 
 # ---------------------------------------------------------------------------

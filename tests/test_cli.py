@@ -160,9 +160,10 @@ class TestTrain:
                 "--steps", "0", "--seed", "9", "--heldout-source", "0"]
         assert cli.main(args) == 0
         arrays = md.load_checkpoint(out / "student_final.ckpt")
+        # training runs in float32, so the checkpoint holds init's float32 rounding
         fresh = md.init_student(9, prior_dim=6)
         for name, arr in arrays.items():
-            np.testing.assert_array_equal(arr, fresh.params[name].data)
+            np.testing.assert_array_equal(arr, fresh.params[name].data.astype(np.float32))
 
     def test_nan_prior_file_exits_4(self, data_dir, tmp_path, capsys):
         vec = tmp_path / "nan_vectors.txt"
@@ -318,6 +319,20 @@ class TestEval:
         assert (tmp_path / "e1" / "confusion.csv").read_text() == \
             (tmp_path / "e2" / "confusion.csv").read_text()
         assert_manifest_lists_every_file(tmp_path / "e1", "eval")
+
+    def test_eval_of_the_final_checkpoint_reproduces_the_runs_final_miou(
+            self, data_dir, tmp_path):
+        # the run scores its float32 student; eval must load the same model
+        out = tmp_path / "trained"
+        assert cli.main(fast_train_args(data_dir, out, ["--steps", "12"])) == 0
+        result_dir = tmp_path / "eval_final"
+        assert cli.main(["eval", "--ckpt", str(out / "student_final.ckpt"),
+                         "--data", str(data_dir), "--split", "test",
+                         "--out", str(result_dir)]) == 0
+        run = dg.parse_manifest(out / "run_manifest.txt")
+        assert dg.parse_manifest(result_dir / "run_manifest.txt")["miou"] == run["final_miou"]
+        assert (result_dir / "confusion.csv").read_bytes() == \
+            (out / "eval_final_confusion.csv").read_bytes()
 
     def test_iou_recomputed_from_confusion_matches(self, data_dir, tmp_path):
         out = tmp_path / "trained2"

@@ -586,6 +586,86 @@ class TestGradientSuiteAllOps:
 
 
 # ---------------------------------------------------------------------------
+# dtype contract: each op computes in its inputs' dtype
+
+SCALAR_REDUCTIONS = ("total", "softmax_cross_entropy", "sum_squared_error")
+
+
+def op_case(op, dtype):
+    """(inputs, output) of `op` on random leaves of `dtype` that require
+    gradients."""
+    rng = np.random.default_rng(3)
+
+    def leaf(*shape):
+        return tc.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    a, b = leaf(2, 3, 6, 4), leaf(2, 3, 6, 4)
+    labels = rng.integers(0, 3, size=(2, 6, 4))
+    labels[0, 0, 0] = 255
+    kernel3, kernel1 = leaf(4, 3, 3, 3), leaf(4, 3, 1, 1)
+    build = {
+        "add": lambda: tc.add(a, b),
+        "scale": lambda: tc.scale(a, 0.3),
+        "mul": lambda: tc.mul(a, b),
+        "total": lambda: tc.total(a),
+        "relu": lambda: tc.relu(a),
+        "take_batch": lambda: tc.take_batch(a, 1),
+        "conv2d_3x3": lambda: tc.conv2d(a, kernel3, stride=2, padding=1),
+        "conv2d_1x1": lambda: tc.conv2d(a, kernel1),
+        "bilinear_resize": lambda: tc.bilinear_resize(a, 3, 7),
+        "nearest_resize": lambda: tc.nearest_resize(a, 9, 2),
+        "softmax_cross_entropy": lambda: tc.softmax_cross_entropy(a, labels),
+        "sum_squared_error": lambda: tc.sum_squared_error(a, b),
+    }
+    inputs = {"add": (a, b), "mul": (a, b), "sum_squared_error": (a, b),
+              "conv2d_3x3": (a, kernel3), "conv2d_1x1": (a, kernel1)}
+    return inputs.get(op, (a,)), build[op]()
+
+
+DTYPE_OPS = ("add", "scale", "mul", "total", "relu", "take_batch", "conv2d_3x3",
+             "conv2d_1x1", "bilinear_resize", "nearest_resize",
+             "softmax_cross_entropy", "sum_squared_error")
+
+
+class TestDtypeContract:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", DTYPE_OPS)
+    def test_output_and_input_gradients_follow_the_inputs(self, op, dtype):
+        inputs, out = op_case(op, dtype)
+        scalar = op in SCALAR_REDUCTIONS
+        # the scalar reductions accumulate into float64; every other output keeps dtype
+        assert out.data.dtype == (np.float64 if scalar else dtype)
+        # the op's own backward, fed the upstream gradient backward() feeds it:
+        # a float64 0-d one for a scalar, one of the output's dtype otherwise
+        for grad in out.op.backward_fn(np.ones_like(out.data)):
+            assert grad.dtype == dtype
+        tc.backward(out if scalar else tc.total(out))
+        for t in inputs:
+            assert t.grad.dtype == dtype
+
+    @pytest.mark.parametrize("data, dtype", [
+        (np.zeros(3, dtype=np.float32), np.float32),
+        (np.zeros(3), np.float64),
+        (np.zeros(3, dtype=np.float16), np.float64),
+        (np.arange(3), np.float64),
+        ([1.0, 2.0], np.float64),
+        (np.float32(1.5), np.float32)])
+    def test_tensor_keeps_float32_and_makes_anything_else_float64(self, data, dtype):
+        assert tc.Tensor(data).data.dtype == dtype
+
+    def test_resize_matrices_are_cached_per_dtype(self):
+        x32 = tc.Tensor(np.ones((1, 1, 5, 6), dtype=np.float32))
+        first = tc.bilinear_resize(x32, 3, 4).data
+        again = tc.bilinear_resize(x32, 3, 4).data
+        wide = tc.bilinear_resize(tc.Tensor(x32.data.astype(np.float64)), 3, 4).data
+        assert first.dtype == again.dtype == np.float32 and wide.dtype == np.float64
+        for dtype in (np.float32, np.float64):
+            cached = tc._RESIZE_CACHE[(5, 3, "bilinear", np.dtype(dtype))]
+            assert cached.dtype == dtype
+            assert tc._resize_matrix(5, 3, "bilinear", dtype) is cached
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 

@@ -311,9 +311,10 @@ class TestRun:
         lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert lines == [tr.METRICS_HEADER]
         arrays = md.load_checkpoint(tmp_path / "run" / "student_final.ckpt")
+        # training runs in float32, so the checkpoint holds init's float32 rounding
         fresh = md.init_student(config.seed)
         for name, arr in arrays.items():
-            np.testing.assert_array_equal(arr, fresh.params[name].data)
+            np.testing.assert_array_equal(arr, fresh.params[name].data.astype(np.float32))
         assert result.best_step == 0
 
     def test_metrics_csv_schema_and_composition(self, bundle, tmp_path):
@@ -553,6 +554,84 @@ class TestRun:
         assert not list(old.parent.glob(".*"))
         assert tr._latest_state(new.parent) is None
         assert old.read_bytes() == before
+
+
+class TestFloat32Training:
+    """The trainer and the checkpoint loader run float32; checkpoints hold
+    <f8 records."""
+
+    def test_every_op_of_a_step_computes_in_float32(self, bundle, monkeypatch):
+        # (op kind, what, dtype) of every non-scalar output and gradient of
+        # the ops that reach a parameter; the prior's class fractions are a
+        # float64 constant until project_prior casts them
+        arrays = []
+        emit = tc._emit
+
+        def recording(kind, inputs, out_data, backward_fn):
+            def back(g):
+                grads = backward_fn(g)
+                arrays.extend((kind, "grad", grad.dtype) for grad in grads
+                              if grad is not None and grad.ndim)
+                return grads
+
+            if np.ndim(out_data) and any(t.requires_grad for t in inputs):
+                arrays.append((kind, "output", out_data.dtype))
+            return emit(kind, inputs, out_data, back)
+
+        monkeypatch.setattr(tc, "_emit", recording)
+        trainer = tr.Trainer(small_config(alpha=1.0), bundle)
+        trainer.train_step()
+        kinds = {kind for kind, _, _ in arrays}
+        assert {"conv2d", "relu", "resize_bilinear", "take_batch"} <= kinds
+        assert [entry for entry in arrays if entry[2] != np.float32] == []
+
+    def test_a_step_leaves_gradients_teacher_and_velocity_float32(self, bundle):
+        trainer = tr.Trainer(small_config(alpha=1.0), bundle)
+        trainer.train_step()
+        for name, p in trainer.student.named():
+            assert p.data.dtype == p.grad.dtype == np.float32, name
+        for name, p in trainer.teacher.named():
+            assert p.data.dtype == np.float32, name
+        for name, v in trainer.optimizer.velocity.items():
+            assert v.dtype == np.float32, name
+
+    def test_train_state_is_f8_on_disk_and_float32_once_loaded(self, bundle, tmp_path):
+        first = tr.Trainer(small_config(), bundle)
+        for _ in range(2):
+            first.train_step()
+        ckpt = tmp_path / "state.ckpt"
+        first.save_train_state(ckpt)
+        records = first._state_arrays()
+        header = sum(4 + len(name.encode()) + 4 + 4 * arr.ndim
+                     for name, arr in records.items())
+        values = sum(arr.size for arr in records.values())
+        assert ckpt.stat().st_size == len(md.CHECKPOINT_MAGIC) + header + 8 * values
+
+        second = tr.Trainer(small_config(), bundle)
+        second.load_train_state(ckpt)
+        for role in ("student", "teacher"):
+            for name, p in getattr(second, role).named():
+                assert p.data.dtype == np.float32, (role, name)
+                np.testing.assert_array_equal(p.data, getattr(first, role).params[name].data)
+        for name, v in second.optimizer.velocity.items():
+            assert v.dtype == np.float32, name
+            np.testing.assert_array_equal(v, first.optimizer.velocity[name])
+
+    def test_supervised_controls_train_in_float32(self, bundle):
+        state = tr.train_supervised([bundle.source(0)], steps=1, seed=2)
+        for name, p in state.named():
+            assert p.data.dtype == np.float32, name
+            # the projectors are outside the cross-entropy graph
+            assert p.grad is None if name.startswith(("gvi.", "gpr.")) \
+                else p.grad.dtype == np.float32, name
+
+    def test_loaded_checkpoint_state_is_float32(self):
+        fresh = md.init_student(4)
+        loaded = md.state_from_arrays(fresh.data_arrays(), "student")
+        for name, p in loaded.named():
+            assert fresh.params[name].data.dtype == np.float64
+            assert p.data.dtype == np.float32, name
+            np.testing.assert_array_equal(p.data, fresh.params[name].data.astype(np.float32))
 
 
 class TripwireBundle(DatasetBundle):

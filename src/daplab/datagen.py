@@ -208,8 +208,10 @@ def write_pgm(path, labels: np.ndarray) -> bytes:
     return data
 
 
-def _read_pnm(path, magic: str):
+def _read_pnm(path, magic: str, digest=None):
     data = read_input(path, "pixmap")
+    if digest is not None:
+        digest.update(data)
     header = re.match(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
     if header is None or header.group(1).decode() != magic:
         raise InputError(f"{path}: not a {magic} pixmap")
@@ -223,13 +225,16 @@ def _read_pnm(path, magic: str):
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
 
 
-def read_ppm(path) -> np.ndarray:
-    arr = _read_pnm(path, "P6")
+def read_ppm(path, digest=None) -> np.ndarray:
+    """The P6 image at `path` as [3,H,W] floats in [0, 1]; `digest`, a
+    hashlib object, if given, is updated with the bytes that were decoded."""
+    arr = _read_pnm(path, "P6", digest)
     return np.ascontiguousarray(arr.transpose(2, 0, 1).astype(np.float64) / 255.0)
 
 
-def read_pgm(path) -> np.ndarray:
-    return _read_pnm(path, "P5")[:, :, 0].copy()
+def read_pgm(path, digest=None) -> np.ndarray:
+    """The P5 label map at `path` as [H,W] uint8; `digest` as in read_ppm."""
+    return _read_pnm(path, "P5", digest)[:, :, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +427,9 @@ class DatasetBundle:
             self._cache[key] = loader()
         return self._cache[key]
 
-    def _pixmap(self, read, path) -> np.ndarray:
-        """read(path), rejected unless it is height x width."""
-        pixels = read(path)
+    def _pixmap(self, read, path, digest=None) -> np.ndarray:
+        """read(path, digest), rejected unless it is height x width."""
+        pixels = read(path, digest)
         if pixels.shape[-2:] != (self.height, self.width):
             raise InputError(f"{path}: pixmap is {pixels.shape[-2]}x{pixels.shape[-1]}, but "
                              f"{self.root / MANIFEST_NAME} gives {self.height}x{self.width}")
@@ -432,13 +437,14 @@ class DatasetBundle:
 
     def _labeled(self, split: str, i: int) -> LabeledImage:
         """Read item i of a labeled split and check its image and label bytes
-        against the manifest's item digest."""
+        against the manifest's item digest; each file is read once, and the
+        bytes hashed are the bytes decoded."""
         image_path, label_path = item_paths(self.root, split, i)
-        item = LabeledImage(self._pixmap(read_ppm, image_path),
-                            self._pixmap(read_pgm, label_path))
+        digest = hashlib.sha256()
+        item = LabeledImage(self._pixmap(read_ppm, image_path, digest),
+                            self._pixmap(read_pgm, label_path, digest))
         key = f"item.{split}/{i:03d}"
-        digest = _sha256(read_input(image_path, "pixmap"), read_input(label_path, "pixmap"))
-        if digest != self.entries.get(key):
+        if digest.hexdigest() != self.entries.get(key):
             raise InputError(f"{image_path}, {label_path}: do not match {key} in "
                              f"{self.root / MANIFEST_NAME}")
         return item

@@ -279,13 +279,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1, same for
     width. No bias term; the models here do not use one.
 
-    Both passes work on channels-first im2col columns [N, Cin*kh*kw, Ho*Wo]:
+    The forward works on channels-first im2col columns [N, Cin*kh*kw, Ho*Wo]:
     row (c, i, j) holds tap (i, j) of input channel c for every output
     position, so `kernel` reshaped to [Cout, Cin*kh*kw] times the columns is
     the output in NCHW order. A 1x1, stride-1 kernel's columns are a view of
     the (padded) input; any other kernel's are copied tap by tap, one
-    strided slice per (i, j), into a fresh [N,Cin,kh,kw,Ho,Wo] array. The
-    padded input, the columns and the input gradient have x's dtype.
+    strided slice per (i, j), into a fresh [N,Cin,kh,kw,Ho,Wo] array.
+
+    A record holds its columns until backward, which reuses them for the
+    kernel gradient, one `columns[b] @ g[b].T` per sample. Without a record
+    (under no_grad, or when no input requires a gradient) nothing keeps
+    them. The column gradient is built tap-major, [N,kh,kw,Cin,Ho,Wo], so
+    each tap adds one contiguous [Cin,Ho,Wo] slab per sample into the padded
+    input gradient. The padded input, the columns and the input gradient
+    have x's dtype.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and kernel")
@@ -306,34 +313,33 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
-
-    def columns():
-        if kh == kw == stride == 1:
-            return xp.reshape(n, cin, ho * wo)
+    if kh == kw == stride == 1:
+        cols = xp.reshape(n, cin, ho * wo)
+    else:
         cols = np.empty((n, cin, kh, kw, ho, wo), dtype=xp.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride,
                                       j:j + stride * wo:stride]
-        return cols.reshape(n, cin * kh * kw, ho * wo)
-
-    kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = (kmat @ columns()).reshape(n, cout, ho, wo)
+        cols = cols.reshape(n, cin * kh * kw, ho * wo)
+    out = (kernel.data.reshape(cout, cin * kh * kw) @ cols).reshape(n, cout, ho, wo)
 
     def back(g):
         g3 = g.reshape(n, cout, ho * wo)
         dk = dx = None
         if kernel.requires_grad:
-            # built again rather than kept: a graph holds each conv's input,
-            # not columns kh*kw times its size, from forward to backward
-            dk = (g3 @ columns().transpose(0, 2, 1)).sum(0).reshape(cout, cin, kh, kw)
+            dkt = cols[0] @ g3[0].T
+            for b in range(1, n):
+                dkt += cols[b] @ g3[b].T
+            dk = dkt.T.reshape(cout, cin, kh, kw)
         if x.requires_grad:
-            dcols = (kmat.T @ g3).reshape(n, cin, kh, kw, ho, wo)
+            taps = kernel.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+            dcols = (taps @ g3).reshape(n, kh, kw, cin, ho, wo)
             dxp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += dcols[:, :, i, j]
+                        j:j + stride * wo:stride] += dcols[:, i, j]
             dx = dxp[:, :, padding:padding + h, padding:padding + w]
         return (dx, dk)
 

@@ -275,6 +275,8 @@ class TestTrain:
         assert cli.main(args) == 3
         err = capsys.readouterr().err
         assert path in err and str(broken / "manifest.txt") in err
+        split, name = path.split("/")
+        assert f"item.{split}/{name[4:7]}" in err
         assert not out.exists()
 
     def test_bad_data_dir_exits_3(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,34 @@ class TestMakeBenchmark:
 
         test_item = bundle.test(0)
         assert test_item.labels.max() < NUM_CLASSES
+
+    def test_labeled_item_files_are_read_once_and_checked(self, tmp_path, monkeypatch):
+        src, tgt = dg.preset_specs("gap-default", seed=16)
+        root = tmp_path / "data"
+        dg.make_benchmark(src, tgt, 2, 1, 1, root, 16, 16)
+        reads = Counter()
+        read_input = dg.read_input
+
+        def counting(path, what):
+            reads[Path(path).relative_to(root).as_posix()] += 1
+            return read_input(path, what)
+
+        monkeypatch.setattr(dg, "read_input", counting)
+        bundle = dg.DatasetBundle(root)
+        reads.clear()
+        for _ in range(2):
+            bundle.source(1)
+            bundle.test(0)
+        assert reads == {"source/img_001.ppm": 1, "source/lab_001.pgm": 1,
+                         "target_test/img_000.ppm": 1, "target_test/lab_000.pgm": 1}
+
+        label = root / "source" / "lab_000.pgm"
+        data = bytearray(label.read_bytes())
+        data[-1] ^= 1
+        label.write_bytes(bytes(data))
+        with pytest.raises(InputError, match=r"do not match item\.source/000 in"):
+            bundle.source(0)
+        assert reads["source/img_000.ppm"] == reads["source/lab_000.pgm"] == 1
 
     def test_test_split_continues_target_scene_indices(self, tmp_path):
         # test scene i is target scene n_target + i, so it never repeats a

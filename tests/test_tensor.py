@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,11 @@ def conv2d_loops(x, k, stride=1, padding=0):
 
 def conv2d_windows(x, k, stride, padding, g):
     """(out, dx, dk) of a conv whose output gradient is g, with im2col
-    columns from sliding_window_view's 6-d transpose-reshape. It performs
-    the same matmuls and scatter on the same columns as tc.conv2d, so the
-    two agree bit for bit."""
+    columns from sliding_window_view's 6-d transpose-reshape. Its matmuls
+    are tc.conv2d's transposed or with rows permuted (tc.conv2d takes dk as
+    columns[b] @ g[b].T summed over samples, and builds the column gradient
+    tap-major), so every element is the same sum of the same products in
+    the same order, and the two agree bit for bit."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -238,6 +241,56 @@ class TestConv2d:
             np.testing.assert_array_equal(got, want)
             for other in (b_out.data, b_dx, b_dk):
                 assert not np.shares_memory(got, other)
+
+    @pytest.mark.parametrize("x_shape,k_shape,stride,padding", [
+        ((2, 3, 64, 64), (16, 3, 3, 3), 1, 1),
+        ((2, 16, 64, 64), (32, 16, 3, 3), 2, 1),
+        ((2, 32, 32, 32), (32, 32, 3, 3), 2, 1),
+        ((2, 32, 16, 16), (6, 32, 1, 1), 1, 0),
+    ], ids=["conv1", "conv2", "conv3", "head"])
+    def test_float32_gradients_at_training_shapes_match_float64(self, x_shape, k_shape,
+                                                               stride, padding):
+        rng = np.random.default_rng(sum(x_shape) + sum(k_shape))
+        x = rng.normal(size=x_shape).astype(np.float32)
+        k = rng.normal(size=k_shape).astype(np.float32)
+        h, w = x_shape[2:]
+        ho = (h + 2 * padding - k_shape[2]) // stride + 1
+        wo = (w + 2 * padding - k_shape[3]) // stride + 1
+        g = rng.normal(size=(x_shape[0], k_shape[0], ho, wo)).astype(np.float32)
+        _, dx, dk = conv2d_with_grads(x, k, stride, padding, g)
+        _, ref_dx, ref_dk = conv2d_windows(*(a.astype(np.float64) for a in (x, k)),
+                                           stride, padding, g.astype(np.float64))
+        assert dx.dtype == dk.dtype == np.float32
+        # float32 carries about 7 digits; these sums run over up to 8192 terms
+        assert relative_error(dx, ref_dx) < 1e-5
+        assert relative_error(dk, ref_dk) < 1e-5
+
+    def test_a_record_holds_its_columns_until_the_graph_is_dropped(self):
+        # tracemalloc counts numpy's data buffers; a 3x3 conv's columns are
+        # nine times its input
+        rng = np.random.default_rng(32)
+        x = tc.Tensor(rng.normal(size=(2, 16, 32, 32)).astype(np.float32))
+        k = tc.Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32),
+                      requires_grad=True)
+        cols_bytes = x.data.nbytes * 9
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with tc.no_grad():
+                out = tc.conv2d(x, k, stride=1, padding=1)
+            assert tracemalloc.get_traced_memory()[0] - base < out.data.nbytes + cols_bytes // 4
+            del out
+
+            loss = tc.total(tc.relu(tc.conv2d(x, k, stride=1, padding=1)))
+            assert tracemalloc.get_traced_memory()[0] - base > cols_bytes
+            tc.backward(loss)
+            del loss
+            assert tracemalloc.get_traced_memory()[0] - base < cols_bytes // 4
+        finally:
+            tracemalloc.stop()
+            gc.enable()
 
     def test_channel_mismatch_raises(self):
         x = tc.Tensor(np.zeros((1, 2, 4, 4)))

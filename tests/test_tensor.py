@@ -42,11 +42,11 @@ def conv2d_loops(x, k, stride=1, padding=0):
 
 def conv2d_windows(x, k, stride, padding, g):
     """(out, dx, dk) of a conv whose output gradient is g, with im2col
-    columns from sliding_window_view's 6-d transpose-reshape. Its matmuls
-    are tc.conv2d's transposed or with rows permuted (tc.conv2d takes dk as
-    columns[b] @ g[b].T summed over samples, and builds the column gradient
-    tap-major), so every element is the same sum of the same products in
-    the same order, and the two agree bit for bit."""
+    columns from sliding_window_view's 6-d transpose-reshape. Its backward
+    matmuls are tc.conv2d's transposed or with rows permuted (tc.conv2d
+    takes dk as columns[b] @ g[b].T summed over samples and builds the
+    column gradient tap-major), so each element is the same dot product
+    taken in the same index order, and the two agree bit for bit."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))

@@ -1,0 +1,78 @@
+"""Byte-compare the fixed-seed outputs of two checkouts.
+
+    python3 scripts/same_outputs.py --parent ../parent --change .
+
+In each checkout, with that checkout's `src` on the import path, it runs
+`daplab gen --preset gap-default --seed 7` and then
+`daplab train --steps 300 --seed 1` on that dataset. It compares every
+dataset and run file of the two sides byte for byte, after dropping the
+`wallclock.*` lines of each `run_manifest.txt`, which time the run. It
+prints one line per file and exits 1 if any file differs or exists on one
+side only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = (["gen", "--preset", "gap-default", "--seed", "7", "--out", "data"],
+            ["train", "--data", "data", "--out", "run", "--steps", "300", "--seed", "1"])
+
+
+def outputs(checkout: Path, work: Path) -> dict:
+    """Run COMMANDS in `work` with `checkout`'s program; map each file the
+    commands wrote to its bytes, without the run manifests' wall-clock lines."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for command in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "daplab.cli", *command], cwd=work,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"{checkout}: daplab {' '.join(command)} exited {done.returncode}:\n"
+                     f"{done.stdout}{done.stderr}")
+    files = {}
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "run_manifest.txt":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"wallclock."))
+        files[str(path.relative_to(work))] = data
+    return files
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as temp:
+        sides = {}
+        for side in ("parent", "change"):
+            work = Path(temp) / side
+            work.mkdir()
+            sides[side] = outputs(getattr(args, side).resolve(), work)
+
+    parent, change = sides["parent"], sides["change"]
+    differing = 0
+    for name in sorted(parent.keys() | change.keys()):
+        if name not in change:
+            verdict = "only in parent"
+        elif name not in parent:
+            verdict = "only in change"
+        elif parent[name] != change[name]:
+            verdict = "differs"
+        else:
+            verdict = "identical"
+        differing += verdict != "identical"
+        print(f"{verdict:<15} {name}")
+    print(f"{len(parent.keys() | change.keys())} files, {differing} not identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a two-domain benchmark")
-    gen.add_argument("--preset", default="gap-default",
-                     choices=["gap-default", "gap-none"])
+    gen.add_argument("--preset", default="gap-default", choices=dg.PRESETS)
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n-source", type=int, default=64)
@@ -57,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--prior", help="a prior kind (onehot, random) or the path "
                                        "of a vector file")
     train.add_argument("--interp", choices=tr.INTERP_MODES)
-    train.add_argument("--no-dap", action="store_true")
     train.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
     train.add_argument("--heldout-source", dest="heldout_source", type=int)
     train.add_argument("--pseudo-acc", dest="pseudo_acc_diagnostic",
@@ -91,8 +89,6 @@ def _train_config(args) -> tr.TrainConfig:
     config = tr.parse_config(args.config) if args.config else tr.TrainConfig()
     overrides = {f.name: getattr(args, f.name) for f in fields(tr.TrainConfig)
                  if getattr(args, f.name, None) is not None}
-    if getattr(args, "no_dap", False):
-        overrides["alpha"] = 0.0
     return replace(config, **overrides)
 
 

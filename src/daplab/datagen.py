@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -479,19 +479,21 @@ SOURCE_FREQUENCY = (0.28, 0.14, 0.24, 0.28, 0.03, 0.03)
 TARGET_FREQUENCY = (0.355, 0.12, 0.225, 0.252, 0.026, 0.022)
 
 
+# each preset's target: the source spec with these fields changed.
+# 'gap-default' is the standard benchmark; 'gap-none' draws both domains
+# from one distribution
+_TARGET_SHIFTS = {
+    "gap-default": dict(texture_noise_sigma=0.05, hue_shift=0.6,
+                        class_frequency=TARGET_FREQUENCY),
+    "gap-none": {},
+}
+PRESETS = tuple(_TARGET_SHIFTS)
+
+
 def preset_specs(name: str, seed: int):
-    """Named (source, target) spec pairs; 'gap-default' is the standard
-    benchmark, 'gap-none' draws both domains from one distribution."""
+    """The (source, target) spec pair of the preset `name`, one of PRESETS."""
+    if name not in PRESETS:
+        raise InputError(f"unknown preset {name!r}")
     source = DomainSpec(palette=BASE_PALETTE, texture_noise_sigma=0.02,
                         hue_shift=0.0, class_frequency=SOURCE_FREQUENCY, seed=seed)
-    if name == "gap-default":
-        target = DomainSpec(palette=BASE_PALETTE, texture_noise_sigma=0.05,
-                            hue_shift=0.6, class_frequency=TARGET_FREQUENCY,
-                            seed=seed + 1_000_003)
-    elif name == "gap-none":
-        target = DomainSpec(palette=BASE_PALETTE, texture_noise_sigma=0.02,
-                            hue_shift=0.0, class_frequency=SOURCE_FREQUENCY,
-                            seed=seed + 1_000_003)
-    else:
-        raise InputError(f"unknown preset {name!r}")
-    return source, target
+    return source, replace(source, seed=seed + 1_000_003, **_TARGET_SHIFTS[name])

@@ -206,10 +206,15 @@ def load_checkpoint(path) -> dict:
     return arrays
 
 
+def finite_in(values: np.ndarray, dtype) -> bool:
+    """Whether every value is finite and stays finite when cast to `dtype`."""
+    return bool((np.abs(values) <= np.finfo(dtype).max).all())
+
+
 def state_from_arrays(arrays: dict, role: str) -> ModelState:
-    """Float32 model parameters from checkpoint arrays, checked by name and
-    shape. The prior width is read from `gpr.conv`, so a checkpoint trained
-    with any prior loads."""
+    """Float32 model parameters from checkpoint arrays, checked by name,
+    shape and finiteness. The prior width is read from `gpr.conv`, so a
+    checkpoint trained with any prior loads."""
     expected = parameter_shapes().keys()
     missing, unexpected = sorted(expected - arrays.keys()), sorted(arrays.keys() - expected)
     if missing or unexpected:
@@ -220,6 +225,9 @@ def state_from_arrays(arrays: dict, role: str) -> ModelState:
         if arrays[name].shape != shape:
             raise InputError(f"checkpoint parameter {name} has shape {arrays[name].shape}, "
                              f"expected {shape}")
+        if not finite_in(arrays[name], np.float32):
+            raise InputError(f"checkpoint parameter {name} holds a value that is not "
+                             "finite in float32")
     requires_grad = role == "student"
     return to_float32(ModelState({name: Tensor(arr, requires_grad=requires_grad)
                                   for name, arr in arrays.items()}, role=role))

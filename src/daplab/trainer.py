@@ -152,9 +152,10 @@ def pseudo_label(teacher: md.ModelState, target_image: np.ndarray) -> np.ndarray
 
 def dap_term(student: md.ModelState, projected: Tensor, labels: np.ndarray,
              embeddings: EmbeddingSet, interp: str) -> Tensor:
-    """Distance between one image's projected visual features [1,P,h,w] and
-    the projected embedding map built from `labels`, down-sampled to the
-    features' h x w. Gradients reach the backbone and both projectors; the
+    """Distance between the projected visual features [N,P,h,w] and the
+    projected embedding map built from the [N,H,W] `labels` (an [H,W] map
+    when N is 1), down-sampled to the features' h x w: the mean over all N
+    images' cells. Gradients reach the backbone and both projectors; the
     embedding vectors stay frozen.
 
     Both resize modes are linear per channel, so the map is built by
@@ -163,7 +164,8 @@ def dap_term(student: md.ModelState, projected: Tensor, labels: np.ndarray,
     with the class table: no full-size D-channel map is made."""
     fh, fw = projected.shape[2:]
     fractions = downsample_embedding(proj(labels, build_one_hot()), fh, fw, interp).data
-    emb = (embeddings.vectors.T @ fractions.reshape(-1, fh * fw)).reshape(1, -1, fh, fw)
+    n = fractions.shape[0]
+    emb = (embeddings.vectors.T @ fractions.reshape(n, -1, fh * fw)).reshape(n, -1, fh, fw)
     return tc.sum_squared_error(projected, md.project_prior(student, Tensor(emb)))
 
 
@@ -180,6 +182,19 @@ def make_optimizer(student: md.ModelState, lr: float) -> tc.SGD:
                   weight_decay_exempt=("gvi.", "gpr."))
 
 
+def descend(optimizer: tc.SGD, loss: Tensor, step: int, steps: int) -> float:
+    """One SGD step on `loss` at the optimizer's base rate decayed to step
+    `step` of `steps`; returns that rate. A non-finite loss raises
+    NumericError before any parameter moves."""
+    if not loss.is_finite():
+        raise NumericError(f"non-finite loss at step {step}")
+    lr_t = tc.polynomial_lr(optimizer.lr, step, steps, LR_POWER)
+    tc.reset_gradients(optimizer.params.values())
+    tc.backward(loss)
+    optimizer.step(lr_t)
+    return lr_t
+
+
 SUPERVISED_LR = 0.02
 
 
@@ -192,11 +207,9 @@ def train_supervised(items, steps: int, seed: int) -> md.ModelState:
     order = np.random.default_rng(seed)
     for step in range(steps):
         item = items[int(order.integers(len(items)))]
-        tc.reset_gradients(state.params.values())
         out = md.forward(state, Tensor(item.image[None]))
-        loss = tc.softmax_cross_entropy(out.logits, item.labels[None])
-        tc.backward(loss)
-        optimizer.step(tc.polynomial_lr(SUPERVISED_LR, step, steps, LR_POWER))
+        descend(optimizer, tc.softmax_cross_entropy(out.logits, item.labels[None]),
+                step, steps)
     return state
 
 
@@ -265,23 +278,17 @@ class Trainer:
             tc.softmax_cross_entropy(tc.take_batch(out.logits, 1), mixed.labels[None]))
 
         if cfg.alpha > 0.0:
-            loss_dap = tc.add(
-                dap_term(self.student, tc.take_batch(out.projected_features, 0),
-                         source.labels, self.embeddings, cfg.interp),
-                dap_term(self.student, tc.take_batch(out.projected_features, 1),
-                         mixed.labels, self.embeddings, cfg.interp))
-            loss_overall = tc.add(loss_seg, tc.scale(loss_dap, cfg.alpha))
+            # one term over the batch; its mean over both images' cells,
+            # doubled, is the sum of the two images' means
+            dap_mean = dap_term(self.student, out.projected_features,
+                                np.stack([source.labels, mixed.labels]),
+                                self.embeddings, cfg.interp)
+            loss_overall = tc.add(loss_seg, tc.scale(dap_mean, 2 * cfg.alpha))
+            l_dap = 2 * dap_mean.item()
         else:
-            loss_dap = None
-            loss_overall = loss_seg
+            loss_overall, l_dap = loss_seg, 0.0
 
-        if not loss_overall.is_finite():
-            raise NumericError(f"non-finite loss at step {step}")
-
-        lr_t = tc.polynomial_lr(cfg.lr, step, cfg.steps, LR_POWER)
-        tc.reset_gradients(self.student.params.values())
-        tc.backward(loss_overall)
-        self.optimizer.step(lr_t)
+        lr_t = descend(self.optimizer, loss_overall, step, cfg.steps)
         md.ema_update(self.teacher, self.student, cfg.ema_lambda)
 
         pseudo_acc = float("nan")
@@ -290,9 +297,8 @@ class Trainer:
             pseudo_acc = float((pseudo == hidden).mean())
 
         self.step_index += 1
-        return StepRecord(step, loss_seg.item(),
-                          loss_dap.item() if loss_dap is not None else 0.0,
-                          loss_overall.item(), pseudo_acc, lr_t)
+        return StepRecord(step, loss_seg.item(), l_dap, loss_overall.item(),
+                          pseudo_acc, lr_t)
 
     # -- train-state persistence -----------------------------------------------
 
@@ -321,6 +327,11 @@ class Trainer:
             if arrays[name].shape != want.shape:
                 raise InputError(f"{ckpt_path}: record {name} has shape "
                                  f"{arrays[name].shape}, expected {want.shape}")
+            # best_score is -inf before the first held-out check, and NaN
+            # without a held-out split
+            if name != "best_score" and not md.finite_in(arrays[name], want.dtype):
+                raise InputError(f"{ckpt_path}: record {name} holds a value that is not "
+                                 f"finite in {want.dtype}")
         self.step_index = int(arrays["step"][0])
         self.best_step = int(arrays["best_step"][0])
         self.best_score = float(arrays["best_score"][0])

@@ -121,16 +121,12 @@ class TestGen:
 
 
 class TestTrain:
-    def test_no_dap_equals_alpha_zero(self, data_dir, tmp_path):
-        assert cli.main(fast_train_args(data_dir, tmp_path / "no_dap",
-                                        ["--no-dap"])) == 0
-        assert cli.main(fast_train_args(data_dir, tmp_path / "alpha0",
-                                        ["--alpha", "0"])) == 0
-        a = md.load_checkpoint(tmp_path / "no_dap" / "student_final.ckpt")
-        b = md.load_checkpoint(tmp_path / "alpha0" / "student_final.ckpt")
-        assert set(a) == set(b)
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
+    def test_removed_no_dap_flag_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        # `--alpha 0` is the baseline; `--no-dap` overrode an explicit --alpha
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out, ["--alpha", "0.5", "--no-dap"])) == 2
+        assert "--no-dap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_vector_class_exits_3_and_names_it(self, data_dir, tmp_path,
                                                        capsys):
@@ -816,6 +812,21 @@ class TestMalformedInput:
         assert code == 3
         err = capsys.readouterr().err
         assert "head.conv" in err and "(5, 32, 1, 1)" in err and "(6, 32, 1, 1)" in err
+
+    # 1e39 is finite in the checkpoint's <f8 but overflows the float32 model
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_checkpoint_with_a_non_finite_parameter_exits_3_and_names_it(
+            self, data_dir, tmp_path, capsys, value):
+        arrays = md.init_student(0).data_arrays()
+        arrays["backbone.conv1"][0, 0, 1, 1] = value
+        poisoned = tmp_path / "student_final.ckpt"
+        md.save_checkpoint(poisoned, arrays)
+        out = tmp_path / "eval"
+        code = cli.main(["eval", "--ckpt", str(poisoned), "--data", str(data_dir),
+                         "--out", str(out)])
+        assert code == 3
+        assert "backbone.conv1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoint_trained_with_a_300d_prior_evaluates(self, data_dir, tmp_path,
                                                             capsys):

@@ -48,7 +48,7 @@ def non_default_value(field, kind):
 
 
 # `daplab train` options that are not TrainConfig fields
-RUN_OPTIONS = {"data", "out", "config", "no_dap"}
+RUN_OPTIONS = {"data", "out", "config"}
 
 
 class TestConfig:
@@ -199,6 +199,37 @@ class TestDapLoss:
         denom = max(np.abs(analytic).max(), np.abs(numeric).max())
         assert np.abs(analytic - numeric).max() / denom < 1e-3
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batch_term_doubled_equals_the_sum_of_per_image_terms(self, dtype):
+        # train_step takes the term once over its batch of two and doubles
+        # it; 48x48 does not split the float64 loss sum at the image boundary
+        embeddings = build_random(16, seed=11)
+        rng = np.random.default_rng(12)
+        images = rng.uniform(size=(2, 3, 48, 48))
+        labels = rng.integers(0, NUM_CLASSES, (2, 48, 48)).astype(np.uint8)
+        labels[rng.uniform(size=labels.shape) < 0.1] = 255
+
+        def loss_and_grads(term):
+            state = md.init_student(seed=13, prior_dim=16)
+            if dtype is np.float32:
+                md.to_float32(state)
+            out = md.forward(state, Tensor(images))
+            loss = term(state, out.projected_features)
+            tc.backward(loss)
+            return loss.item(), {name: p.grad for name, p in state.named()}
+
+        batch, batch_grads = loss_and_grads(lambda state, projected: tc.scale(
+            tr.dap_term(state, projected, labels, embeddings, "bilinear"), 2.0))
+        pair, pair_grads = loss_and_grads(lambda state, projected: tc.add(*(
+            tr.dap_term(state, tc.take_batch(projected, i), labels[i], embeddings,
+                        "bilinear") for i in range(2))))
+        assert abs(batch - pair) <= 1e-15 * abs(pair)
+        assert batch_grads["head.conv"] is None and pair_grads["head.conv"] is None
+        del batch_grads["head.conv"]
+        for name, grad in batch_grads.items():
+            assert grad.dtype == dtype, name
+            np.testing.assert_array_equal(grad, pair_grads[name], err_msg=name)
+
     @pytest.mark.parametrize("size,feature", [(64, 16), (30, 7)])
     @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
     @pytest.mark.parametrize("embeddings", [build_one_hot(), build_random(300, seed=5)],
@@ -258,6 +289,24 @@ class TestTrainStep:
         trainer.student.params["backbone.conv1"].data[0, 0, 1, 1] = np.nan
         with pytest.raises(NumericError, match="non-finite loss at step 0"):
             trainer.train_step()
+
+    def test_a_step_takes_the_prior_term_once_over_its_batch(self, bundle, monkeypatch):
+        kinds, prior_maps = [], []
+
+        class CountedRecord(tc.OpRecord):
+            __slots__ = ()
+
+            def __init__(self, kind, *args):
+                kinds.append(kind)
+                super().__init__(kind, *args)
+
+        monkeypatch.setattr(tc, "OpRecord", CountedRecord)
+        monkeypatch.setattr(tr, "proj", lambda *args: prior_maps.append(args) or proj(*args))
+        tr.Trainer(small_config(alpha=1.0), bundle).train_step()
+        assert len(prior_maps) == 1 and prior_maps[0][0].shape == (2, 32, 32)
+        # the cross-entropy pair takes its two images apart; the prior term does not
+        assert (kinds.count("sum_squared_error"), kinds.count("take_batch")) == (1, 2)
+        assert len(kinds) == 18
 
     def test_seg_loss_decreases_with_training(self, bundle):
         for seed in range(5):
@@ -466,6 +515,27 @@ class TestRun:
         md.save_checkpoint(state, arrays)
         with pytest.raises(InputError, match=r"velocity\.head\.conv has shape "
                                              r"\(5, 32, 1, 1\), expected \(6, 32, 1, 1\)"):
+            tr.run(config, bundle, out)
+
+    @pytest.mark.parametrize("record", ["teacher.gvi.conv", "student.backbone.conv1",
+                                        "velocity.head.conv", "step"])
+    def test_resume_rejects_a_non_finite_state_record(self, bundle, tmp_path, record):
+        config = small_config(steps=8, checkpoint_every=4)
+        out = tmp_path / "run"
+        tr.run(config, bundle, out)
+        # best_score is left unchecked: without a held-out split the final
+        # state's is NaN, and each earlier state's is -inf
+        finished = tr.Trainer(config, bundle)
+        finished.load_train_state(out / "checkpoints" / "state_000008.ckpt")
+        assert math.isnan(finished.best_score)
+        (out / "checkpoints" / "state_000008.ckpt").unlink()
+        state = out / "checkpoints" / "state_000004.ckpt"
+        arrays = md.load_checkpoint(state)
+        assert arrays["best_score"][0] == -np.inf
+        arrays[record].flat[0] = np.nan
+        md.save_checkpoint(state, arrays)
+        with pytest.raises(InputError, match=f"record {record} holds a value that is not "
+                                             "finite in float"):
             tr.run(config, bundle, out)
 
     @pytest.mark.parametrize("damage", [
@@ -697,6 +767,18 @@ def supervised_control_gap(preset, tmp_path):
 
 
 class TestSupervisedControl:
+    def test_nan_first_layer_weight_raises_numeric_error(self, bundle, monkeypatch):
+        init_student = md.init_student
+
+        def poisoned(*args, **kwargs):
+            state = init_student(*args, **kwargs)
+            state.params["backbone.conv1"].data[0, 0, 1, 1] = np.nan
+            return state
+
+        monkeypatch.setattr(md, "init_student", poisoned)
+        with pytest.raises(NumericError, match="non-finite loss at step 0"):
+            tr.train_supervised([bundle.source(0)], steps=2, seed=2)
+
     def test_identical_domains_close_transfer_gap(self, tmp_path):
         # with no domain gap, training on source labels vs (hidden) target
         # labels gives nearly the same test IoU on road, sidewalk, sky and

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -71,15 +71,17 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     return Metrics(iou, miou, confusion)
 
 
-def evaluate(state: md.ModelState, items: Sequence) -> Metrics:
-    """Accumulate a confusion matrix over a labeled split; sample order is
-    irrelevant because only counts are kept."""
-    if len(items) == 0:
-        raise InputError("cannot evaluate an empty split")
+def evaluate(state: md.ModelState, items: Iterable) -> Metrics:
+    """Accumulate a confusion matrix over the labeled items of a split, which
+    may come from a generator; sample order is irrelevant because only counts
+    are kept."""
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for item in items:
+    count = 0
+    for count, item in enumerate(items, 1):
         prediction = predict_labels(state, item.image)
         confusion += confusion_from_pairs(item.labels, prediction)
+    if count == 0:
+        raise InputError("cannot evaluate an empty split")
     return metrics_from_confusion(confusion)
 
 

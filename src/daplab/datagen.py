@@ -226,10 +226,17 @@ def _read_pnm(path, magic: str, digest=None):
 
 
 def read_ppm(path, digest=None) -> np.ndarray:
-    """The P6 image at `path` as [3,H,W] floats in [0, 1]; `digest`, a
-    hashlib object, if given, is updated with the bytes that were decoded."""
-    arr = _read_pnm(path, "P6", digest)
-    return np.ascontiguousarray(arr.transpose(2, 0, 1).astype(np.float64) / 255.0)
+    """The P6 image at `path` as its [3,H,W] uint8 pixels, as stored
+    (unit_image makes them floats); `digest`, a hashlib object, if given,
+    is updated with the bytes that were read."""
+    return np.ascontiguousarray(_read_pnm(path, "P6", digest).transpose(2, 0, 1))
+
+
+def unit_image(pixels: np.ndarray) -> np.ndarray:
+    """8-bit pixels as a new float64 array in [0, 1]: each value over 255."""
+    image = pixels.astype(np.float64)
+    image /= 255.0
+    return image
 
 
 def read_pgm(path, digest=None) -> np.ndarray:
@@ -398,6 +405,11 @@ class DatasetBundle:
     width. source() and test() also check each item against its manifest
     digest on first read. Target-train images have no digest check: their
     digest covers the sealed label too, which training must not read.
+
+    Each item file is read once. The bundle keeps an image as its 8-bit
+    pixels, 1 byte per channel-pixel, and hands out a new float64 image
+    (unit_image) on every call. The pixels and label maps it keeps and hands
+    out are read-only.
     """
 
     def __init__(self, root):
@@ -428,21 +440,23 @@ class DatasetBundle:
         return self._cache[key]
 
     def _pixmap(self, read, path, digest=None) -> np.ndarray:
-        """read(path, digest), rejected unless it is height x width."""
+        """read(path, digest), made read-only; rejected unless it is
+        height x width."""
         pixels = read(path, digest)
         if pixels.shape[-2:] != (self.height, self.width):
             raise InputError(f"{path}: pixmap is {pixels.shape[-2]}x{pixels.shape[-1]}, but "
                              f"{self.root / MANIFEST_NAME} gives {self.height}x{self.width}")
+        pixels.flags.writeable = False
         return pixels
 
-    def _labeled(self, split: str, i: int) -> LabeledImage:
-        """Read item i of a labeled split and check its image and label bytes
-        against the manifest's item digest; each file is read once, and the
-        bytes hashed are the bytes decoded."""
+    def _labeled(self, split: str, i: int) -> tuple:
+        """The (pixels, labels) of item i of a labeled split, checked against
+        the manifest's item digest; each file is read once, and the bytes
+        hashed are the bytes kept."""
         image_path, label_path = item_paths(self.root, split, i)
         digest = hashlib.sha256()
-        item = LabeledImage(self._pixmap(read_ppm, image_path, digest),
-                            self._pixmap(read_pgm, label_path, digest))
+        item = (self._pixmap(read_ppm, image_path, digest),
+                self._pixmap(read_pgm, label_path, digest))
         key = f"item.{split}/{i:03d}"
         if digest.hexdigest() != self.entries.get(key):
             raise InputError(f"{image_path}, {label_path}: do not match {key} in "
@@ -450,18 +464,20 @@ class DatasetBundle:
         return item
 
     def source(self, i: int) -> LabeledImage:
-        return self._cached(("source", i), lambda: self._labeled("source", i))
+        pixels, labels = self._cached(("source", i), lambda: self._labeled("source", i))
+        return LabeledImage(unit_image(pixels), labels)
 
     def target_image(self, i: int) -> np.ndarray:
-        return self._cached(("target_image", i), lambda: self._pixmap(
-            read_ppm, item_paths(self.root, "target_train", i)[0]))
+        return unit_image(self._cached(("target_image", i), lambda: self._pixmap(
+            read_ppm, item_paths(self.root, "target_train", i)[0])))
 
     def target_hidden_labels(self, i: int) -> np.ndarray:
         """Evaluation-only accessor for sealed target-train labels."""
         return self._pixmap(read_pgm, item_paths(self.root, "target_train", i)[1])
 
     def test(self, i: int) -> LabeledImage:
-        return self._cached(("test", i), lambda: self._labeled("target_test", i))
+        pixels, labels = self._cached(("test", i), lambda: self._labeled("target_test", i))
+        return LabeledImage(unit_image(pixels), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ class MixedSample:
 
 
 def sample_class_subset(source_labels: np.ndarray, rng: np.random.Generator) -> frozenset:
-    """Uniformly pick ceil(k/2) of the k distinct classes present."""
-    present = np.unique(source_labels)
-    present = present[present != IGNORE_ID]
+    """Uniformly pick ceil(k/2) of the k distinct classes present in a uint8
+    label map."""
+    present = np.flatnonzero(np.bincount(source_labels.ravel(), minlength=256)[:IGNORE_ID])
     if present.size == 0:
         raise InputError("label map contains no valid class")
     take = math.ceil(present.size / 2)
@@ -46,7 +46,9 @@ def classmix(source: LabeledImage, target_image: np.ndarray,
     if source.labels.shape != source.image.shape[1:]:
         raise DimensionError("source labels do not match image size")
 
-    mask = np.isin(source.labels, list(subset)) & (source.labels != IGNORE_ID)
+    wins = np.zeros(256, dtype=bool)   # by uint8 label value
+    wins[[c for c in subset if 0 <= c < IGNORE_ID]] = True
+    mask = wins[source.labels]
     image = np.where(mask[None], source.image, target_image)
     labels = np.where(mask, source.labels, pseudo_labels).astype(source.labels.dtype)
     return MixedSample(image, labels, mask.astype(np.uint8), frozenset(subset))

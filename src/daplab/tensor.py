@@ -435,9 +435,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 2
     if lab[valid].min() < 0 or lab[valid].max() >= c:
         raise DimensionError("softmax_cross_entropy: label id out of range")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z                                          # [N,C,H,W]
+    log_probs = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))  # [N,C,H,W]
     safe_lab = np.where(valid, lab, 0)
     picked = np.take_along_axis(log_probs, safe_lab[:, None], axis=1)[:, 0]
     loss = -(picked[valid].sum(dtype=np.float64)) / count
@@ -445,8 +444,13 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 2
     def back(g):
         soft = np.exp(log_probs)
         grad = soft * (valid[:, None] / soft.dtype.type(count))
-        nz = np.nonzero(valid)
-        grad[nz[0], lab[valid], nz[1], nz[2]] -= 1.0 / count
+        # minus 1/count at each valid pixel's label, on a [N,C,H*W] view
+        flat = grad.reshape(n, c, h * w)
+        at_label = safe_lab.reshape(n, 1, h * w)
+        picked_grad = np.take_along_axis(flat, at_label, axis=1)
+        np.subtract(picked_grad, 1.0 / count, out=picked_grad,
+                    where=valid.reshape(n, 1, h * w))
+        np.put_along_axis(flat, at_label, picked_grad, axis=1)
         return (grad * float(g),)
 
     return _emit("softmax_cross_entropy", (logits,), np.float64(loss), back)

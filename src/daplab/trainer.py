@@ -246,12 +246,6 @@ class Trainer:
         # score; -1 until the first held-out check
         self.best_step, self.best_score = -1, -np.inf
 
-    # -- data ----------------------------------------------------------------
-
-    def heldout_items(self):
-        return [self.bundle.source(i)
-                for i in range(self.n_train_source, self.bundle.n_source)]
-
     # -- one optimization step -------------------------------------------------
 
     def train_step(self) -> StepRecord:
@@ -373,20 +367,20 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     checkpoint writes it last, and it records the best held-out step and
     score, so a killed run continues without reading any other file for
     them. Every source, target-train and test item is read and checked
-    before the first step, and a rejected run leaves no directory behind."""
+    before the first step, and a rejected run leaves no directory behind.
+    The bundle keeps the items' bytes; each evaluation decodes its split
+    afresh, one image at a time."""
     t_setup = time.perf_counter()
     if bundle.n_test < 1:
         raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
                          "images to evaluate")
     trainer = Trainer(config, bundle)
-    heldout = trainer.heldout_items()
-    # read, and so check, every other item before the run directory exists;
-    # the bundle caches them for the steps
-    for i in range(trainer.n_train_source):
-        bundle.source(i)
-    for i in range(bundle.n_target):
-        bundle.target_image(i)
-    test_items = [bundle.test(i) for i in range(bundle.n_test)]
+    # read, and so check, every item before the run directory exists
+    for read, count in ((bundle.source, bundle.n_source),
+                        (bundle.target_image, bundle.n_target),
+                        (bundle.test, bundle.n_test)):
+        for i in range(count):
+            read(i)
 
     out = Path(out_dir)
     config_path = out / "config.txt"
@@ -423,7 +417,9 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
         """Save best.ckpt when the student beats the best held-out score so
         far (without a held-out split the final student is the best), then
         the train state."""
-        score = analysis.evaluate(trainer.student, heldout).miou if heldout else float("nan")
+        heldout = map(bundle.source, range(trainer.n_train_source, bundle.n_source))
+        score = (analysis.evaluate(trainer.student, heldout).miou
+                 if config.heldout_source else float("nan"))
         unchosen_at_end = step_done == config.steps and trainer.best_step < 0
         if score > trainer.best_score or unchosen_at_end:
             trainer.best_step, trainer.best_score = step_done, score
@@ -451,9 +447,10 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     md.save_checkpoint(out / "student_final.ckpt", trainer.student.data_arrays())
 
     t_eval_start = time.perf_counter()
-    final_metrics = analysis.evaluate(trainer.student, test_items)
+    test_split = range(bundle.n_test)
+    final_metrics = analysis.evaluate(trainer.student, map(bundle.test, test_split))
     best_state = md.state_from_arrays(md.load_checkpoint(best_path), "student")
-    best_metrics = analysis.evaluate(best_state, test_items)
+    best_metrics = analysis.evaluate(best_state, map(bundle.test, test_split))
     for tag, metrics in (("final", final_metrics), ("best", best_metrics)):
         analysis.write_metrics_csv(metrics, out / f"eval_{tag}_metrics.csv")
         analysis.write_confusion_csv(metrics.confusion, out / f"eval_{tag}_confusion.csv")

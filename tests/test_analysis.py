@@ -82,6 +82,18 @@ class TestEvaluate:
         with pytest.raises(InputError):
             analysis.evaluate(m.init_student(seed=0), [])
 
+    def test_generator_of_items_is_accepted_and_an_empty_one_rejected(self):
+        state = m.init_student(seed=2)
+        rng = np.random.default_rng(4)
+        items = [LabeledImage(rng.uniform(size=(3, 16, 16)),
+                              rng.integers(0, NUM_CLASSES, (16, 16)).astype(np.uint8))
+                 for _ in range(3)]
+        from_list = analysis.evaluate(state, items)
+        from_generator = analysis.evaluate(state, (item for item in items))
+        np.testing.assert_array_equal(from_generator.confusion, from_list.confusion)
+        with pytest.raises(InputError, match="empty split"):
+            analysis.evaluate(state, (item for item in []))
+
 
 class TestClassFeatureStats:
     def test_identical_features_give_exact_mean_floored_variance(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -98,10 +99,18 @@ class TestGenerateScene:
 class TestPixmapIO:
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        image = np.rint(rng.uniform(size=(3, 5, 7)) * 255) / 255.0
+        pixels = rng.integers(0, 256, size=(3, 5, 7)).astype(np.uint8)
         path = tmp_path / "x.ppm"
-        dg.write_ppm(path, image)
-        np.testing.assert_allclose(dg.read_ppm(path), image, atol=1e-12)
+        dg.write_ppm(path, pixels / 255.0)
+        read = dg.read_ppm(path)
+        assert read.dtype == np.uint8
+        np.testing.assert_array_equal(read, pixels)
+
+    def test_decoded_image_is_the_pixels_over_255(self):
+        pixels = np.arange(3 * 16 * 16).reshape(3, 16, 16).astype(np.uint8)
+        image = dg.unit_image(pixels)
+        assert image.dtype == np.float64
+        np.testing.assert_array_equal(image, pixels.astype(np.float64) / 255)
 
     def test_pgm_round_trip(self, tmp_path):
         labels = np.array([[0, 1, 255], [4, 5, 2]], dtype=np.uint8)
@@ -162,6 +171,42 @@ class TestMakeBenchmark:
 
         test_item = bundle.test(0)
         assert test_item.labels.max() < NUM_CLASSES
+
+    def test_bundle_decodes_each_call_and_keeps_read_only_bytes(self, tmp_path):
+        src, tgt = dg.preset_specs("gap-default", seed=15)
+        root = tmp_path / "data"
+        dg.make_benchmark(src, tgt, 2, 2, 1, root, 32, 32)
+        bundle = dg.DatasetBundle(root)
+        first, again = bundle.source(0), bundle.source(0)
+        assert first.image.dtype == np.float64 and first.labels.dtype == np.uint8
+        np.testing.assert_array_equal(
+            first.image, dg.read_ppm(root / "source" / "img_000.ppm").astype(np.float64) / 255)
+        np.testing.assert_array_equal(again.image, first.image)
+        assert not np.shares_memory(again.image, first.image)
+        first.image[:] = 0       # a caller's image is its own to change
+        assert bundle.source(0).image.max() > 0
+        with pytest.raises(ValueError, match="read-only"):
+            first.labels[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.test(0).labels[0, 0] = 1
+        assert not np.shares_memory(bundle.target_image(1), bundle.target_image(1))
+
+    def test_bundle_holds_under_6_bytes_per_item_pixel(self, tmp_path):
+        # float64 images would hold 24 bytes per pixel, plus 1 for the labels
+        src, tgt = dg.preset_specs("gap-default", seed=17)
+        dg.make_benchmark(src, tgt, 8, 8, 4, tmp_path / "data", 32, 32)
+        bundle = dg.DatasetBundle(tmp_path / "data")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for read, count in ((bundle.source, 8), (bundle.target_image, 8),
+                                (bundle.test, 4)):
+                for i in range(count):
+                    read(i)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / (20 * 32 * 32) < 6
 
     def test_labeled_item_files_are_read_once_and_checked(self, tmp_path, monkeypatch):
         src, tgt = dg.preset_specs("gap-default", seed=16)

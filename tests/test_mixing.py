@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,46 @@ class TestSampleClassSubset:
             for c in mixing.sample_class_subset(labels, rng):
                 hits[c] += 1
         np.testing.assert_allclose(hits / draws, 2.0 / 3.0, atol=0.02)
+
+
+def random_label_maps(count, seed):
+    """uint8 maps over a random subset of classes, with ignored pixels."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        classes = rng.choice(np.arange(8), size=int(rng.integers(1, 9)), replace=False)
+        labels = rng.choice(classes, size=(12, 10)).astype(np.uint8)
+        labels[rng.uniform(size=labels.shape) < 0.15] = IGNORE_ID
+        yield labels
+
+
+class TestSubsetFormulas:
+    """The table lookups give what np.unique and np.isin gave, bit for bit."""
+
+    def test_subset_draw_and_generator_state_match_np_unique(self):
+        for k, labels in enumerate(random_label_maps(50, seed=11)):
+            rng_new, rng_old = np.random.default_rng(k), np.random.default_rng(k)
+            present = np.unique(labels)
+            present = present[present != IGNORE_ID]
+            expected = frozenset(int(c) for c in rng_old.choice(
+                present, size=math.ceil(present.size / 2), replace=False))
+            assert mixing.sample_class_subset(labels, rng_new) == expected
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    def test_classmix_mask_matches_np_isin(self):
+        rng = np.random.default_rng(12)
+        for labels in random_label_maps(50, seed=13):
+            source = LabeledImage(rng.uniform(size=(3, *labels.shape)), labels)
+            target = rng.uniform(size=(3, *labels.shape))
+            pseudo = rng.integers(0, 6, size=labels.shape).astype(np.uint8)
+            subset = frozenset(int(c) for c in rng.choice(
+                [0, 1, 2, 3, 4, 5, 6, 7, IGNORE_ID], size=int(rng.integers(0, 6)),
+                replace=False))
+            expected = np.isin(labels, list(subset)) & (labels != IGNORE_ID)
+            mixed = mixing.classmix(source, target, pseudo, subset)
+            np.testing.assert_array_equal(mixed.mask, expected.astype(np.uint8))
+            np.testing.assert_array_equal(mixed.labels, np.where(expected, labels, pseudo))
+            np.testing.assert_array_equal(
+                mixed.image, np.where(expected[None], source.image, target))
 
 
 class TestClassmix:

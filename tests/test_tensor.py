@@ -423,6 +423,28 @@ class TestSoftmaxCrossEntropy:
             tc.softmax_cross_entropy(tc.Tensor(np.zeros((1, 3, 2, 2))),
                                      np.full((1, 2, 2), 255))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_is_bit_identical_to_the_fancy_index_formula(self, dtype):
+        # exp(log_probs) * valid/count, minus 1/count at each valid pixel's
+        # label, written with np.nonzero fancy indexing
+        rng = np.random.default_rng(8)
+        data = (3 * rng.normal(size=(2, 6, 9, 7))).astype(dtype)
+        labels = rng.integers(0, 6, size=(2, 9, 7)).astype(np.uint8)
+        labels[rng.uniform(size=labels.shape) < 0.2] = 255
+        logits = tc.Tensor(data, requires_grad=True)
+        tc.backward(tc.softmax_cross_entropy(logits, labels))
+
+        valid = labels != 255
+        count = int(valid.sum())
+        shifted = data - data.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        soft = np.exp(log_probs)
+        expected = soft * (valid[:, None] / soft.dtype.type(count))
+        nz = np.nonzero(valid)
+        expected[nz[0], labels[valid].astype(np.int64), nz[1], nz[2]] -= 1.0 / count
+        assert logits.grad.dtype == dtype
+        np.testing.assert_array_equal(logits.grad, expected * 1.0)
+
 
 # ---------------------------------------------------------------------------
 # sum_squared_error

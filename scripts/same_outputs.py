@@ -3,12 +3,13 @@
     python3 scripts/same_outputs.py --parent ../parent --change .
 
 In each checkout, with that checkout's `src` on the import path, it runs
-`daplab gen --preset gap-default --seed 7` and then
-`daplab train --steps 300 --seed 1` on that dataset. It compares every
-dataset and run file of the two sides byte for byte, after dropping the
-`wallclock.*` lines of each `run_manifest.txt`, which time the run. It
-prints one line per file and exits 1 if any file differs or exists on one
-side only.
+`daplab gen --preset gap-default --seed 7`, then
+`daplab train --steps 300 --seed 1` on that dataset, then `daplab eval` of
+the trained `student_final.ckpt` on the test and on the source split. It
+compares every dataset, run and evaluation file of the two sides byte for
+byte, after dropping the `wallclock.*` lines of each `run_manifest.txt`,
+which time the run. It prints one line per file and exits 1 if any file
+differs or exists on one side only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = (["gen", "--preset", "gap-default", "--seed", "7", "--out", "data"],
-            ["train", "--data", "data", "--out", "run", "--steps", "300", "--seed", "1"])
+            ["train", "--data", "data", "--out", "run", "--steps", "300", "--seed", "1"],
+            *(["eval", "--ckpt", "run/student_final.ckpt", "--data", "data",
+               "--split", split, "--out", f"eval_{split}"] for split in ("test", "source")))
 
 
 def outputs(checkout: Path, work: Path) -> dict:

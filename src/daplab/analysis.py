@@ -154,7 +154,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def _log_density(points: np.ndarray, g: ClassGaussian) -> np.ndarray:
     centered = points - g.mean
-    return -0.5 * ((centered * centered / g.variance).sum(axis=1)
+    centered *= centered
+    centered /= g.variance
+    return -0.5 * (centered.sum(axis=1)
                    + np.log(g.variance).sum()
                    + g.mean.size * np.log(2.0 * np.pi))
 
@@ -175,8 +177,9 @@ def gaussian_iou(a: ClassGaussian, b: ClassGaussian, n_samples: int,
             raise InputError(f"non-finite mean for class {g.class_id}")
 
     def rate(src: ClassGaussian, other: ClassGaussian) -> float:
-        draws = src.mean + np.sqrt(src.variance) * rng.standard_normal(
-            (n_samples, src.mean.size))
+        draws = rng.standard_normal((n_samples, src.mean.size))
+        draws *= np.sqrt(src.variance)
+        draws += src.mean
         lp_src = _log_density(draws, src)
         lp_other = _log_density(draws, other)
         return float(((lp_other > lp_src) + 0.5 * (lp_other == lp_src)).mean())

@@ -133,11 +133,9 @@ def cmd_eval(args) -> int:
     count = getattr(bundle, key)
     if count < 1:
         raise InputError(f"--split {args.split}: {key} is {count}")
-    read = getattr(bundle, args.split)
-    for i in range(count):
-        read(i)  # read, and so check, every item before the evaluation is timed
+    bundle.check_split(args.split)  # every item, before the evaluation is timed
     started = time.perf_counter()
-    metrics = analysis.evaluate(state, map(read, range(count)))
+    metrics = analysis.evaluate(state, map(getattr(bundle, args.split), range(count)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_metrics_csv(metrics, out / "metrics.csv")

@@ -463,20 +463,37 @@ class DatasetBundle:
                              f"{self.root / MANIFEST_NAME}")
         return item
 
+    def _item(self, split: str, i: int):
+        """The kept bytes of item i of `split`, named as its accessor: the
+        (pixels, labels) of a "source" or "test" item, the pixels of a
+        "target_image"."""
+        if split == "target_image":
+            return self._cached((split, i), lambda: self._pixmap(
+                read_ppm, item_paths(self.root, "target_train", i)[0]))
+        return self._cached((split, i), lambda: self._labeled(
+            "target_test" if split == "test" else split, i))
+
+    def check_split(self, split: str) -> None:
+        """Read and check every item of `split` ("source", "target_image" or
+        "test"), keeping its bytes but decoding no image."""
+        count = {"source": self.n_source, "target_image": self.n_target,
+                 "test": self.n_test}[split]
+        for i in range(count):
+            self._item(split, i)
+
     def source(self, i: int) -> LabeledImage:
-        pixels, labels = self._cached(("source", i), lambda: self._labeled("source", i))
+        pixels, labels = self._item("source", i)
         return LabeledImage(unit_image(pixels), labels)
 
     def target_image(self, i: int) -> np.ndarray:
-        return unit_image(self._cached(("target_image", i), lambda: self._pixmap(
-            read_ppm, item_paths(self.root, "target_train", i)[0])))
+        return unit_image(self._item("target_image", i))
 
     def target_hidden_labels(self, i: int) -> np.ndarray:
         """Evaluation-only accessor for sealed target-train labels."""
         return self._pixmap(read_pgm, item_paths(self.root, "target_train", i)[1])
 
     def test(self, i: int) -> LabeledImage:
-        pixels, labels = self._cached(("test", i), lambda: self._labeled("target_test", i))
+        pixels, labels = self._item("test", i)
         return LabeledImage(unit_image(pixels), labels)
 
 

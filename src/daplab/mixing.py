@@ -62,19 +62,22 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def _blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with clamped (edge-replicated) borders."""
+    """Separable Gaussian blur with clamped (edge-replicated) borders. Each
+    axis pads by repeating its edge indices, then adds the weighted taps in
+    kernel order into a zeroed sum."""
     kernel = _gaussian_kernel(sigma)
     radius = kernel.size // 2
     out = image
     for axis in (1, 2):
-        padding = [(0, 0), (0, 0), (0, 0)]
-        padding[axis] = (radius, radius)
-        padded = np.pad(out, padding, mode="edge")
+        size = out.shape[axis]
+        padded = out.take(np.clip(np.arange(-radius, size + radius), 0, size - 1), axis=axis)
         acc = np.zeros_like(out)
+        tap = np.empty_like(out)
         for k, weight in enumerate(kernel):
             sl = [slice(None)] * 3
-            sl[axis] = slice(k, k + out.shape[axis])
-            acc += weight * padded[tuple(sl)]
+            sl[axis] = slice(k, k + size)
+            np.multiply(weight, padded[tuple(sl)], out=tap)
+            acc += tap
         out = acc
     return out
 
@@ -90,7 +93,11 @@ def augment_mixed(sample: MixedSample, rng: np.random.Generator,
     contrast = 1.0 + rng.uniform(-jitter_strength, jitter_strength)
     image = sample.image
     if jitter_strength > 0:
-        image = np.clip((image - 0.5) * contrast + 0.5 + brightness, 0.0, 1.0)
+        image = image - 0.5
+        image *= contrast
+        image += 0.5
+        image += brightness
+        np.clip(image, 0.0, 1.0, out=image)
     if blur_sigma > 0:
         image = _blur(image, blur_sigma)
     return replace(sample, image=image)

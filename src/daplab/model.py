@@ -137,7 +137,9 @@ def project_prior(state: ModelState, embedding_map: Tensor) -> Tensor:
 
 
 def ema_update(teacher: ModelState, student: ModelState, decay: float) -> None:
-    """teacher <- decay * teacher + (1 - decay) * student, in place."""
+    """teacher <- decay * teacher + (1 - decay) * student, written into the
+    teacher's arrays, so a caller holding a teacher `p.data` sees the new
+    values."""
     if not 0.0 <= decay <= 1.0:
         raise InputError(f"ema decay {decay} outside [0, 1]")
     t_names, s_names = set(teacher.params), set(student.params)
@@ -147,7 +149,8 @@ def ema_update(teacher: ModelState, student: ModelState, decay: float) -> None:
         sp = student.params[name]
         if tp.data.shape != sp.data.shape:
             raise InputError(f"shape mismatch for {name}")
-        tp.data = decay * tp.data + (1.0 - decay) * sp.data
+        tp.data *= decay
+        tp.data += (1.0 - decay) * sp.data
 
 
 # ---------------------------------------------------------------------------

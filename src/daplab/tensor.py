@@ -246,13 +246,15 @@ def relu(x: Tensor) -> Tensor:
 
     -0.0 maps to +0.0. A NaN propagates rather than being zeroed, so a
     non-finite activation reaches the loss, whose finiteness check rejects it.
+    The record keeps no mask: `out > 0` holds exactly where `x > 0` does,
+    -0.0 and NaN included, so backward derives it from the output.
     """
-    mask = x.data > 0.0
+    out = np.maximum(x.data, 0.0)
 
     def back(g):
-        return (g * mask,)
+        return (g * (out > 0.0),)
 
-    return _emit("relu", (x,), np.maximum(x.data, 0.0), back)
+    return _emit("relu", (x,), out, back)
 
 
 def take_batch(x: Tensor, index: int) -> Tensor:
@@ -431,27 +433,33 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 2
     count = int(valid.sum())
     if count == 0:
         raise DimensionError("softmax_cross_entropy: every pixel is ignored")
-    lab = labels.astype(np.int64)
-    if lab[valid].min() < 0 or lab[valid].max() >= c:
+    if labels.dtype != np.uint8:
+        labels = labels.astype(np.int64)
+    safe_lab = np.where(valid, labels, 0)      # an ignored pixel points at class 0
+    if safe_lab.min() < 0 or safe_lab.max() >= c:
         raise DimensionError("softmax_cross_entropy: label id out of range")
+    # flat index of each pixel's label entry in [N,C,H,W]
+    hw = h * w
+    at_label = safe_lab.reshape(n, hw).astype(np.intp)
+    at_label *= hw
+    at_label += np.arange(0, n * c * hw, c * hw)[:, None]
+    at_label += np.arange(hw)
 
     log_probs = logits.data - logits.data.max(axis=1, keepdims=True)
     log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))  # [N,C,H,W]
-    safe_lab = np.where(valid, lab, 0)
-    picked = np.take_along_axis(log_probs, safe_lab[:, None], axis=1)[:, 0]
-    loss = -(picked[valid].sum(dtype=np.float64)) / count
+    valid = valid.reshape(n, hw)
+    loss = -(log_probs.take(at_label)[valid].sum(dtype=np.float64)) / count
 
     def back(g):
-        soft = np.exp(log_probs)
-        grad = soft * (valid[:, None] / soft.dtype.type(count))
-        # minus 1/count at each valid pixel's label, on a [N,C,H*W] view
-        flat = grad.reshape(n, c, h * w)
-        at_label = safe_lab.reshape(n, 1, h * w)
-        picked_grad = np.take_along_axis(flat, at_label, axis=1)
-        np.subtract(picked_grad, 1.0 / count, out=picked_grad,
-                    where=valid.reshape(n, 1, h * w))
-        np.put_along_axis(flat, at_label, picked_grad, axis=1)
-        return (grad * float(g),)
+        grad = np.exp(log_probs)
+        grad *= valid.reshape(n, 1, h, w) / grad.dtype.type(count)
+        # minus 1/count at each valid pixel's label
+        flat = grad.reshape(-1)
+        picked = flat[at_label]
+        np.subtract(picked, 1.0 / count, out=picked, where=valid)
+        flat[at_label] = picked
+        grad *= float(g)
+        return (grad,)
 
     return _emit("softmax_cross_entropy", (logits,), np.float64(loss), back)
 
@@ -525,15 +533,23 @@ class SGD:
         return best
 
     def step(self, lr: Optional[float] = None) -> None:
+        """Update every parameter and its velocity in place; p.grad is only
+        read."""
         rate = self.lr if lr is None else float(lr)
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
             if self.weight_decay and not name.startswith(self.weight_decay_exempt):
-                g = g + self.weight_decay * p.data
+                g = self.weight_decay * p.data
+                g += p.grad
             v = self.velocity[name]
             v *= self.momentum
             v += g
-            update = g + self.momentum * v if self.momentum else v
-            p.data -= rate * self._multiplier(name) * update
+            if self.momentum:
+                update = self.momentum * v
+                update += g
+                update *= rate * self._multiplier(name)
+            else:
+                update = rate * self._multiplier(name) * v
+            p.data -= update

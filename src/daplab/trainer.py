@@ -265,8 +265,11 @@ class Trainer:
         mixed = mixing.classmix(source, target_image, pseudo, subset)
         mixed = mixing.augment_mixed(mixed, rng, JITTER_STRENGTH, BLUR_SIGMA)
 
-        batch = Tensor(np.stack([source.image, mixed.image]))
-        out = md.forward(self.student, batch)
+        # built in the kernels' dtype: assigning rounds as astype does
+        dtype = self.student.params["backbone.conv1"].data.dtype
+        batch = np.empty((2, *source.image.shape), dtype)
+        batch[0], batch[1] = source.image, mixed.image
+        out = md.forward(self.student, Tensor(batch))
         loss_seg = tc.add(
             tc.softmax_cross_entropy(tc.take_batch(out.logits, 0), source.labels[None]),
             tc.softmax_cross_entropy(tc.take_batch(out.logits, 1), mixed.labels[None]))
@@ -369,18 +372,16 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     them. Every source, target-train and test item is read and checked
     before the first step, and a rejected run leaves no directory behind.
     The bundle keeps the items' bytes; each evaluation decodes its split
-    afresh, one image at a time."""
+    afresh, one image at a time. When the best held-out step is the last,
+    the final student's test metrics serve as the best's too."""
     t_setup = time.perf_counter()
     if bundle.n_test < 1:
         raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
                          "images to evaluate")
     trainer = Trainer(config, bundle)
     # read, and so check, every item before the run directory exists
-    for read, count in ((bundle.source, bundle.n_source),
-                        (bundle.target_image, bundle.n_target),
-                        (bundle.test, bundle.n_test)):
-        for i in range(count):
-            read(i)
+    for split in ("source", "target_image", "test"):
+        bundle.check_split(split)
 
     out = Path(out_dir)
     config_path = out / "config.txt"
@@ -449,8 +450,12 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     t_eval_start = time.perf_counter()
     test_split = range(bundle.n_test)
     final_metrics = analysis.evaluate(trainer.student, map(bundle.test, test_split))
-    best_state = md.state_from_arrays(md.load_checkpoint(best_path), "student")
-    best_metrics = analysis.evaluate(best_state, map(bundle.test, test_split))
+    if trainer.best_step == config.steps:
+        # best.ckpt holds the final student: float32 -> <f8 -> float32 is exact
+        best_metrics = final_metrics
+    else:
+        best_state = md.state_from_arrays(md.load_checkpoint(best_path), "student")
+        best_metrics = analysis.evaluate(best_state, map(bundle.test, test_split))
     for tag, metrics in (("final", final_metrics), ("best", best_metrics)):
         analysis.write_metrics_csv(metrics, out / f"eval_{tag}_metrics.csv")
         analysis.write_confusion_csv(metrics.confusion, out / f"eval_{tag}_confusion.csv")

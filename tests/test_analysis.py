@@ -181,6 +181,38 @@ class TestGaussianIOU:
             scores.append(analysis.gaussian_iou(a, b, 50_000, rng))
         assert all(x > y for x, y in zip(scores, scores[1:]))
 
+    @staticmethod
+    def allocating_formula(a, b, n_samples, rng):
+        """The score as computed with a fresh array for every term."""
+        def log_density(points, g):
+            centered = points - g.mean
+            return -0.5 * ((centered * centered / g.variance).sum(axis=1)
+                           + np.log(g.variance).sum()
+                           + g.mean.size * np.log(2.0 * np.pi))
+
+        def rate(src, other):
+            draws = src.mean + np.sqrt(src.variance) * rng.standard_normal(
+                (n_samples, src.mean.size))
+            lp_src = log_density(draws, src)
+            lp_other = log_density(draws, other)
+            return float(((lp_other > lp_src) + 0.5 * (lp_other == lp_src)).mean())
+
+        r_a = rate(a, b)
+        r_b = rate(b, a)
+        return (r_a + r_b) / (2.0 - r_a - r_b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_score_and_draws_are_bit_identical_to_the_allocating_formula(self, dtype):
+        # float32 means and variances are what class_feature_stats fits
+        rng = np.random.default_rng(14)
+        a, b = (analysis.ClassGaussian(c, rng.normal(size=32).astype(dtype),
+                                       rng.uniform(0.1, 2.0, size=32).astype(dtype), 500)
+                for c in (4, 5))
+        ours, theirs = np.random.default_rng(77), np.random.default_rng(77)
+        score = analysis.gaussian_iou(a, b, 4000, ours)
+        assert score == self.allocating_formula(a, b, 4000, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_small_sample_count_rejected(self):
         a = gaussian([0.0], [1.0])
         with pytest.raises(InputError):

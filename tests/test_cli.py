@@ -305,6 +305,36 @@ class TestEval:
         lines = (result_dir / "metrics.csv").read_text().splitlines()
         assert lines[-1] == "miou,1.000000"
 
+    @pytest.mark.parametrize("split, count", [("test", 3), ("source", 6)])
+    def test_eval_decodes_each_image_once(self, data_dir, tmp_path, monkeypatch,
+                                          split, count):
+        ckpt = tmp_path / "init.ckpt"
+        md.save_checkpoint(ckpt, md.init_student(0).data_arrays())
+        decodes = []
+        decode = dg.unit_image
+        monkeypatch.setattr(dg, "unit_image", lambda pixels: decodes.append(1) or
+                            decode(pixels))
+        assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                         "--split", split, "--out", str(tmp_path / "e")]) == 0
+        assert len(decodes) == count
+
+    def test_eval_of_a_tampered_item_exits_3_naming_its_files_before_any_output(
+            self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        label = data / "target_test" / "lab_002.pgm"
+        raw = bytearray(label.read_bytes())
+        raw[-1] = (raw[-1] + 1) % 6        # still a valid class id
+        label.write_bytes(bytes(raw))
+        ckpt = tmp_path / "init.ckpt"
+        md.save_checkpoint(ckpt, md.init_student(0).data_arrays())
+        out = tmp_path / "e"
+        assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(label) in err and str(data / "target_test" / "img_002.ppm") in err
+        assert not out.exists()
+
     def test_eval_twice_identical_outputs(self, data_dir, tmp_path):
         out = tmp_path / "trained"
         assert cli.main(fast_train_args(data_dir, out)) == 0

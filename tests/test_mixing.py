@@ -191,3 +191,40 @@ class TestAugmentMixed:
     def test_negative_strength_rejected(self):
         with pytest.raises(InputError):
             mixing.augment_mixed(self.sample(), np.random.default_rng(4), -0.1, 0.0)
+
+    @staticmethod
+    def allocating_formula(image, brightness, contrast, jitter_strength, sigma):
+        """The jitter and blur as computed with np.clip of fresh arrays,
+        np.pad edge padding and one product array per tap."""
+        if jitter_strength > 0:
+            image = np.clip((image - 0.5) * contrast + 0.5 + brightness, 0.0, 1.0)
+        if sigma > 0:
+            kernel = mixing._gaussian_kernel(sigma)
+            radius = kernel.size // 2
+            for axis in (1, 2):
+                padding = [(0, 0), (0, 0), (0, 0)]
+                padding[axis] = (radius, radius)
+                padded = np.pad(image, padding, mode="edge")
+                acc = np.zeros_like(image)
+                for k, weight in enumerate(kernel):
+                    sl = [slice(None)] * 3
+                    sl[axis] = slice(k, k + image.shape[axis])
+                    acc += weight * padded[tuple(sl)]
+                image = acc
+        return image
+
+    @pytest.mark.parametrize("jitter_strength, sigma", [(0.2, 0.5), (0.0, 0.5),
+                                                        (0.7, 0.0), (0.3, 1.7)])
+    def test_image_is_bit_identical_to_the_allocating_formula(self, jitter_strength, sigma):
+        sample = self.sample(seed=11)
+        sample = mixing.MixedSample(sample.image[:, :, :13].copy(), sample.labels[:, :13],
+                                    sample.mask[:, :13], sample.chosen_classes)
+        given = sample.image.copy()
+        rng, draws = np.random.default_rng(5), np.random.default_rng(5)
+        out = mixing.augment_mixed(sample, rng, jitter_strength, sigma)
+        brightness = draws.uniform(-jitter_strength, jitter_strength)
+        contrast = 1.0 + draws.uniform(-jitter_strength, jitter_strength)
+        expected = self.allocating_formula(given, brightness, contrast, jitter_strength,
+                                           sigma)
+        assert out.image.dtype == expected.dtype and out.image.tobytes() == expected.tobytes()
+        assert sample.image.tobytes() == given.tobytes()  # the input image is not written

@@ -117,6 +117,23 @@ class TestEmaUpdate:
                        - student.params["head.conv"].data).max()
         assert after < before
 
+    def test_in_place_update_is_bit_identical_to_the_allocating_formula(self):
+        student = m.to_float32(m.init_student(seed=4))
+        teacher = m.make_teacher(student)
+        held = {name: p.data for name, p in teacher.named()}
+        expected = {name: p.data.copy() for name, p in teacher.named()}
+        rng = np.random.default_rng(9)
+        for decay in (0.99, 0.5, 0.999):
+            for p in student.params.values():
+                p.data += rng.normal(scale=0.01, size=p.data.shape).astype(np.float32)
+            m.ema_update(teacher, student, decay)
+            for name, p in teacher.named():
+                student_data = student.params[name].data
+                expected[name] = decay * expected[name] + (1.0 - decay) * student_data
+                assert p.data is held[name]   # a caller's reference sees the update
+                assert p.data.dtype == np.float32
+                assert p.data.tobytes() == expected[name].tobytes(), name
+
     def test_name_mismatch_rejected(self, student):
         teacher = m.make_teacher(student)
         del teacher.params["head.conv"]

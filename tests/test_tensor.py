@@ -14,6 +14,12 @@ from daplab import tensor as tc
 from daplab.errors import DimensionError
 
 
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, a NaN equals itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # independent reference implementations (kept loop-based on purpose)
 
@@ -335,6 +341,34 @@ class TestRelu:
         assert np.isnan(out.data[0])
         np.testing.assert_array_equal(out.data[1:], [0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_and_gradient_equal_the_input_mask_formula(self, dtype):
+        # the gradient was g * (x > 0); the record now derives the mask from
+        # the output, which must agree on signed zeros, NaN and infinities
+        x = np.array([-0.0, 0.0, np.nan, -np.nan, -1.5, 2.0, np.inf, -np.inf,
+                      1e-40, -1e-40], dtype)
+        upstream = np.array([-1.0, 2.0, -3.0, 0.5, -0.25, 4.0, 1.0, -1.0,
+                             -2.0, -7.0], dtype)
+        xt = tc.Tensor(x, requires_grad=True)
+        out = tc.relu(xt)
+        tc.backward(tc.total(tc.mul(out, tc.Tensor(upstream))))
+        assert same_bits(out.data, np.maximum(x, 0.0))
+        assert same_bits(xt.grad, upstream * (x > 0.0))
+
+    def test_record_keeps_only_its_output(self):
+        x = tc.Tensor(np.random.default_rng(3).normal(size=(2, 4, 5)), requires_grad=True)
+        out = tc.relu(x)
+        held = [cell.cell_contents for cell in out.op.backward_fn.__closure__]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is out.data
+
+    def test_no_grad_output_equals_the_grad_mode_output(self):
+        x = np.array([-0.0, np.nan, 3.0, -2.0, 0.0], np.float32)
+        with tc.no_grad():
+            quiet = tc.relu(tc.Tensor(x, requires_grad=True))
+        assert quiet.op is None and not quiet.requires_grad
+        assert same_bits(quiet.data, tc.relu(tc.Tensor(x, requires_grad=True)).data)
+
 
 # ---------------------------------------------------------------------------
 # bilinear_resize
@@ -444,6 +478,56 @@ class TestSoftmaxCrossEntropy:
         expected[nz[0], labels[valid].astype(np.int64), nz[1], nz[2]] -= 1.0 / count
         assert logits.grad.dtype == dtype
         np.testing.assert_array_equal(logits.grad, expected * 1.0)
+
+
+    @staticmethod
+    def take_along_axis_formula(data, labels, upstream):
+        """The loss and logit gradient as computed with an int64 label copy,
+        boolean-indexed range checks and take/put_along_axis."""
+        n, c, h, w = data.shape
+        valid = labels != 255
+        count = int(valid.sum())
+        lab = labels.astype(np.int64)
+        assert lab[valid].min() >= 0 and lab[valid].max() < c
+        log_probs = data - data.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        safe_lab = np.where(valid, lab, 0)
+        picked = np.take_along_axis(log_probs, safe_lab[:, None], axis=1)[:, 0]
+        loss = np.float64(-(picked[valid].sum(dtype=np.float64)) / count)
+        soft = np.exp(log_probs)
+        grad = soft * (valid[:, None] / soft.dtype.type(count))
+        flat = grad.reshape(n, c, h * w)
+        at_label = safe_lab.reshape(n, 1, h * w)
+        picked_grad = np.take_along_axis(flat, at_label, axis=1)
+        np.subtract(picked_grad, 1.0 / count, out=picked_grad,
+                    where=valid.reshape(n, 1, h * w))
+        np.put_along_axis(flat, at_label, picked_grad, axis=1)
+        return loss, grad * float(upstream)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("label_dtype", [np.uint8, np.int64, np.float64])
+    def test_value_and_gradient_are_bit_identical_to_the_take_along_axis_formula(
+            self, dtype, label_dtype):
+        rng = np.random.default_rng(31)
+        data = (4 * rng.normal(size=(2, 6, 11, 9))).astype(dtype)
+        labels = rng.integers(0, 6, size=(2, 11, 9)).astype(np.uint8)
+        labels[rng.uniform(size=labels.shape) < 0.25] = 255
+        labels = labels.astype(label_dtype)
+        if label_dtype == np.float64:
+            labels[labels != 255] += 0.5      # astype truncates 2.5 to class 2
+        logits = tc.Tensor(data, requires_grad=True)
+        loss = tc.softmax_cross_entropy(logits, labels)
+        tc.backward(tc.scale(loss, -0.37))
+        expected_loss, expected_grad = self.take_along_axis_formula(data, labels, -0.37)
+        assert same_bits(loss.data, expected_loss)
+        assert same_bits(logits.grad, expected_grad)
+
+    def test_label_out_of_range_raises(self):
+        logits = tc.Tensor(np.zeros((1, 3, 2, 2)))
+        for bad in (3, -1):
+            labels = np.array([[[0, 255], [bad, 1]]])
+            with pytest.raises(DimensionError, match="out of range"):
+                tc.softmax_cross_entropy(logits, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +872,54 @@ class TestSGD:
         opt.step()
         assert a.data[0] == pytest.approx(1.0 - 1.0, abs=1e-15)
         assert b.data[0] == pytest.approx(1.0 - 0.1, abs=1e-15)
+
+    @staticmethod
+    def allocating_step(data, velocity, grads, rate, momentum, weight_decay,
+                        multipliers, exempt):
+        """The update as computed with a fresh array for every term."""
+        for name, g in grads.items():
+            if g is None:
+                continue
+            if weight_decay and not name.startswith(exempt):
+                g = g + weight_decay * data[name]
+            v = velocity[name]
+            v *= momentum
+            v += g
+            update = g + momentum * v if momentum else v
+            data[name] = data[name] - rate * multipliers.get(name.split(".")[0] + ".", 1.0) \
+                * update
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_is_bit_identical_to_the_allocating_formula(self, momentum,
+                                                                       dtype):
+        rng = np.random.default_rng(12)
+        shapes = {"backbone.w": (4, 3, 3, 3), "head.w": (6, 4, 1, 1),
+                  "gvi.w": (5, 4, 1, 1), "gpr.w": (5, 6, 1, 1)}
+        params = {name: tc.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                  for name, shape in shapes.items()}
+        multipliers = {"head.": 10.0, "gvi.": 0.5, "gpr.": 0.5}
+        exempt = ("gvi.", "gpr.")
+        opt = tc.SGD(params, lr=0.01, momentum=momentum, weight_decay=5e-4,
+                     lr_multipliers=multipliers, weight_decay_exempt=exempt)
+        data = {name: p.data.copy() for name, p in params.items()}
+        velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
+        for step in range(4):
+            for name, p in params.items():
+                # gpr.w enters no graph on odd steps
+                p.grad = None if name == "gpr.w" and step % 2 else \
+                    rng.normal(size=p.data.shape).astype(dtype)
+            grads = {name: p.grad for name, p in params.items()}
+            given = {name: None if g is None else g.copy() for name, g in grads.items()}
+            rate = tc.polynomial_lr(0.01, step, 4)
+            opt.step(rate)
+            self.allocating_step(data, velocity, grads, rate, momentum, 5e-4,
+                                 multipliers, exempt)
+            for name, p in params.items():
+                assert same_bits(p.data, data[name]), name
+                assert same_bits(opt.velocity[name], velocity[name]), name
+                assert p.grad is grads[name]
+                assert given[name] is None or same_bits(p.grad, given[name]), name
 
     def test_polynomial_decay(self):
         assert tc.polynomial_lr(1.0, 0, 100) == 1.0

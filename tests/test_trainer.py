@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import time
+import tracemalloc
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -308,6 +310,26 @@ class TestTrainStep:
         assert (kinds.count("sum_squared_error"), kinds.count("take_batch")) == (1, 2)
         assert len(kinds) == 18
 
+    def test_a_32x32_step_allocates_under_2_18_mb_at_its_peak(self, bundle):
+        # tracemalloc peak of one step at 32x32 with alpha=1, numpy 2.4: 2.23 MB
+        # when ReLU kept a mask and cross-entropy, mixing, SGD and the EMA
+        # made a new array for each term; 2.13 MB with them writing in place
+        trainer = tr.Trainer(small_config(), bundle)
+        for i in range(bundle.n_source):
+            bundle.source(i)
+        for i in range(bundle.n_target):
+            bundle.target_image(i)
+        trainer.train_step()
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                trainer.train_step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2.18e6, peaks
+
     def test_seg_loss_decreases_with_training(self, bundle):
         for seed in range(5):
             trainer = tr.Trainer(small_config(steps=200, seed=seed), bundle)
@@ -582,6 +604,55 @@ class TestRun:
                   if p.is_file() and p.name != "run_manifest.txt"}
         assert listed == actual
         assert manifest.splitlines()[0] == "command=train"
+
+    def test_checked_items_are_kept_undecoded(self, bundle, tmp_path, monkeypatch):
+        # with no step and no held-out split, the final test evaluation is the
+        # only decode; the check phase reads every item and decodes none
+        decodes = []
+        decode = dg.unit_image
+        monkeypatch.setattr(dg, "unit_image", lambda pixels: decodes.append(1) or
+                            decode(pixels))
+        fresh = DatasetBundle(bundle.root)
+        tr.run(small_config(steps=0), fresh, tmp_path / "run")
+        assert len(decodes) == fresh.n_test
+        assert len(fresh._cache) == fresh.n_source + fresh.n_target + fresh.n_test
+
+    def test_a_final_best_student_is_evaluated_once(self, bundle, tmp_path, monkeypatch):
+        evaluations = []
+        evaluate = analysis.evaluate
+        monkeypatch.setattr(analysis, "evaluate", lambda state, items: evaluations.append(
+            state) or evaluate(state, items))
+        result = tr.run(small_config(steps=2), bundle, tmp_path / "run")
+        assert result.best_step == 2 and len(evaluations) == 1
+        assert result.best_miou == result.final_miou
+        for kind in ("metrics", "confusion"):
+            assert (tmp_path / "run" / f"eval_best_{kind}.csv").read_bytes() == \
+                (tmp_path / "run" / f"eval_final_{kind}.csv").read_bytes()
+
+    def test_an_earlier_best_student_is_evaluated_apart(self, bundle, tmp_path,
+                                                        monkeypatch):
+        # the held-out score falls from step 2 to step 4, so step 2 is the best
+        evaluations = []
+        evaluate = analysis.evaluate
+
+        def scored(state, items):
+            metrics = evaluate(state, items)
+            evaluations.append(state)
+            heldout_scores = (0.9, 0.1)
+            if len(evaluations) <= len(heldout_scores):
+                return dataclasses.replace(metrics, miou=heldout_scores[len(evaluations) - 1])
+            return metrics
+
+        monkeypatch.setattr(analysis, "evaluate", scored)
+        config = small_config(steps=4, checkpoint_every=2, heldout_source=2)
+        result = tr.run(config, bundle, tmp_path / "run")
+        assert result.best_step == 2
+        # two held-out checks, then the final and the best student on the test split
+        assert len(evaluations) == 4
+        assert evaluations[2] is not evaluations[3]
+        best = md.load_checkpoint(tmp_path / "run" / "best.ckpt")
+        for name, p in evaluations[3].named():
+            np.testing.assert_array_equal(p.data, best[name].astype(np.float32))
 
     def test_wallclock_setup_counts_trainer_construction(self, bundle, tmp_path,
                                                          monkeypatch):

@@ -12,6 +12,13 @@ gradients in the input's dtype again. Training runs in
 float32; the finite-difference checks feed float64. Everything is
 single-threaded per graph.
 
+The graph is made of op records, and a record points at the producers of
+its inputs, not at the input tensors (see OpRecord). An intermediate array
+that no backward reads is freed as soon as the caller lets go of its
+tensor, during the forward. One that a backward reads (a conv's columns, a
+ReLU's output) lives as long as the graph, and the root tensor keeps the
+whole graph alive, so backward can run again.
+
 Importing this module makes glibc keep freed heap in the process (see
 _keep_freed_heap), so a step's arrays reuse the pages of the step before.
 """
@@ -111,23 +118,29 @@ class Tensor:
 
 
 class OpRecord:
-    """One forward step: op kind, input tensors, the id of the output tensor,
-    the function mapping the output gradient to per-input gradients, and
-    `seq`, the record's place in creation order.
+    """One forward step: op kind, one gradient sink per input, the function
+    mapping the output gradient to per-input gradients, and `seq`, the
+    record's place in creation order.
 
-    The record keeps the output's id, not the output: the output holds the
-    record as `op`, so a reference back would make every graph a cycle that
-    only the cyclic garbage collector frees, at a time that depends on
-    unrelated allocations. The id is unique while the record lives, since
-    only its output refers to it."""
+    An input's sink is where its gradient goes: the record that produced
+    it, for an op output; the tensor itself, for a leaf that requires a
+    gradient; None, for anything else. So a record keeps no intermediate
+    tensor. An intermediate's array outlives the forward only when a
+    `backward_fn` keeps it to read (a conv's columns, a ReLU's output, a
+    loss's log-probabilities) or a caller holds the tensor.
 
-    __slots__ = ("kind", "inputs", "output_id", "backward_fn", "seq")
+    `output` is not kept either: the output holds the record as `op`, so a
+    reference back would make every graph a cycle that only the cyclic
+    garbage collector frees. A dropped graph is freed by reference counting
+    alone."""
+
+    __slots__ = ("kind", "sinks", "backward_fn", "seq")
 
     def __init__(self, kind: str, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
         self.kind = kind
-        self.inputs = tuple(inputs)
-        self.output_id = id(output)
+        self.sinks = tuple(t.op if t.op is not None else t if t.requires_grad else None
+                           for t in inputs)
         self.backward_fn = backward_fn
         self.seq = next(_RECORD_SEQ)
 
@@ -136,7 +149,9 @@ def _emit(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
           backward_fn) -> Tensor:
     """Wrap an op result, attaching a record when gradients are live. A
     record exists only when an input requires a gradient, so single-input ops
-    return their gradient untested; two-input ops test each input."""
+    return their gradient untested; two-input ops test each input. A
+    `backward_fn` keeps only what it reads: no input tensor whose array it
+    does not need."""
     track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
@@ -149,9 +164,14 @@ def backward(loss: Tensor) -> None:
 
     Adds dLoss/dTensor to .grad of each leaf (a tensor without an op record)
     that requires a gradient and that `loss` depends on, and ones to `loss`'s
-    own .grad when it requires one; intermediate results get no .grad.
-    A .grad has its tensor's dtype.
-    Calling twice without reset_gradients() adds the gradients again.
+    own .grad when it requires one, with or without an op; intermediate
+    results get no .grad. A .grad has its tensor's dtype.
+
+    Gradients flow along the records' sinks: an op output's gradient is
+    summed at its producer's record, in the order its consumers run, and
+    handed to that record's `backward_fn`. The sweep needs no intermediate
+    tensor, and the records and closures stay as they were, so calling
+    twice without reset_gradients() adds the gradients again.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward() root must be scalar, got shape {list(loss.shape)}")
@@ -162,33 +182,30 @@ def backward(loss: Tensor) -> None:
         record = stack.pop()
         if record is not None and record.seq not in reachable:
             reachable[record.seq] = record
-            stack.extend(t.op for t in record.inputs)
+            stack.extend(s for s in record.sinks if not isinstance(s, Tensor))
 
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # sink -> summed gradient; records and tensors hash by identity
+    flowing: dict = {} if loss.op is None else {loss.op: np.ones_like(loss.data)}
     for _, record in sorted(reachable.items(), reverse=True):
-        upstream = flowing.pop(record.output_id, None)
+        upstream = flowing.pop(record, None)
         if upstream is None:
             continue
-        for tensor_in, grad_in in zip(record.inputs, record.backward_fn(upstream)):
-            if grad_in is None:
+        for sink, grad_in in zip(record.sinks, record.backward_fn(upstream)):
+            if sink is None or grad_in is None:
                 continue
-            key = id(tensor_in)
-            holders[key] = tensor_in
-            if key in flowing:
-                flowing[key] = flowing[key] + grad_in
+            if sink in flowing:
+                flowing[sink] = flowing[sink] + grad_in
             else:
-                flowing[key] = grad_in
+                flowing[sink] = grad_in
     if loss.requires_grad:
-        flowing[id(loss)] = np.ones_like(loss.data)
-    for key, grad in flowing.items():
-        holder = holders[key]
-        if not holder.requires_grad:
+        flowing[loss] = np.ones_like(loss.data)
+    for leaf, grad in flowing.items():
+        if not isinstance(leaf, Tensor):
             continue
-        if holder.grad is None:
-            holder.grad = np.array(grad, dtype=holder.data.dtype, copy=True)
+        if leaf.grad is None:
+            leaf.grad = np.array(grad, dtype=leaf.data.dtype, copy=True)
         else:
-            holder.grad = holder.grad + grad
+            leaf.grad = leaf.grad + grad
 
 
 def reset_gradients(tensors: Iterable[Tensor]) -> None:
@@ -205,9 +222,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: {a.shape} vs {b.shape}")
 
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def back(g):
-        return (g if a.requires_grad else None,
-                g if b.requires_grad else None)
+        return (g if need_a else None,
+                g if need_b else None)
 
     return _emit("add", (a, b), a.data + b.data, back)
 
@@ -235,8 +254,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def total(x: Tensor) -> Tensor:
     """Sum of all elements, accumulated in float64, as a scalar tensor."""
 
+    shape, dtype = x.data.shape, x.data.dtype
+
     def back(g):
-        return (np.full_like(x.data, float(g)),)
+        return (np.full(shape, float(g), dtype),)
 
     return _emit("total", (x,), x.data.sum(dtype=np.float64), back)
 
@@ -263,8 +284,10 @@ def take_batch(x: Tensor, index: int) -> Tensor:
     if not 0 <= index < n:
         raise DimensionError(f"take_batch: index {index} out of range {n}")
 
+    shape, dtype = x.data.shape, x.data.dtype
+
     def back(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         full[index:index + 1] = g
         return (full,)
 
@@ -325,6 +348,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
                                       j:j + stride * wo:stride]
         cols = cols.reshape(n, cin * kh * kw, ho * wo)
     out = (kernel.data.reshape(cout, cin * kh * kw) @ cols).reshape(n, cout, ho, wo)
+    need_x, dtype = x.requires_grad, x.data.dtype
 
     def back(g):
         g3 = g.reshape(n, cout, ho * wo)
@@ -334,10 +358,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             for b in range(1, n):
                 dkt += cols[b] @ g3[b].T
             dk = dkt.T.reshape(cout, cin, kh, kw)
-        if x.requires_grad:
+        if need_x:
             taps = kernel.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
             dcols = (taps @ g3).reshape(n, kh, kw, cin, ho, wo)
-            dxp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
+            dxp = np.zeros((n, cin, hp, wp), dtype=dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i:i + stride * ho:stride,
@@ -476,11 +500,12 @@ def sum_squared_error(a: Tensor, b: Tensor) -> Tensor:
     diff = a.data - b.data
     positions = 1 if diff.ndim <= 1 else diff.size // diff.shape[1]
     loss = float((diff * diff).sum(dtype=np.float64) / positions)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def back(g):
         d = (2.0 / positions) * diff * float(g)
-        return (d if a.requires_grad else None,
-                -d if b.requires_grad else None)
+        return (d if need_a else None,
+                -d if need_b else None)
 
     return _emit("sum_squared_error", (a, b), np.float64(loss), back)
 

@@ -269,22 +269,26 @@ class Trainer:
         dtype = self.student.params["backbone.conv1"].data.dtype
         batch = np.empty((2, *source.image.shape), dtype)
         batch[0], batch[1] = source.image, mixed.image
+        labels = np.stack([source.labels, mixed.labels])
+        # only the label maps go on, so the float64 images are freed here
+        del source, target_image, mixed
         out = md.forward(self.student, Tensor(batch))
         loss_seg = tc.add(
-            tc.softmax_cross_entropy(tc.take_batch(out.logits, 0), source.labels[None]),
-            tc.softmax_cross_entropy(tc.take_batch(out.logits, 1), mixed.labels[None]))
+            tc.softmax_cross_entropy(tc.take_batch(out.logits, 0), labels[0:1]),
+            tc.softmax_cross_entropy(tc.take_batch(out.logits, 1), labels[1:2]))
 
         if cfg.alpha > 0.0:
             # one term over the batch; its mean over both images' cells,
             # doubled, is the sum of the two images' means
-            dap_mean = dap_term(self.student, out.projected_features,
-                                np.stack([source.labels, mixed.labels]),
+            dap_mean = dap_term(self.student, out.projected_features, labels,
                                 self.embeddings, cfg.interp)
             loss_overall = tc.add(loss_seg, tc.scale(dap_mean, 2 * cfg.alpha))
             l_dap = 2 * dap_mean.item()
         else:
             loss_overall, l_dap = loss_seg, 0.0
 
+        # the graph keeps what its backward reads; the forward's other arrays go now
+        del batch, out
         lr_t = descend(self.optimizer, loss_overall, step, cfg.steps)
         md.ema_update(self.teacher, self.student, cfg.ema_lambda)
 

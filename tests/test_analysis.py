@@ -15,6 +15,55 @@ def gaussian(mean, variance, class_id=0):
                                   np.asarray(variance, dtype=np.float64), 1000)
 
 
+def argmax_cases():
+    """(name, [C,H,W] logits) volumes whose labels must equal np.argmax's."""
+    rng = np.random.default_rng(41)
+    inf, nan = np.inf, np.nan
+    yield "float32", rng.normal(size=(6, 64, 64)).astype(np.float32)
+    yield "float64", rng.normal(size=(6, 17, 9))
+    # drawn from three values, so most pixels hold exact ties across classes
+    yield "ties", rng.integers(-1, 2, size=(6, 16, 16)).astype(np.float32)
+    yield "one_class", rng.normal(size=(1, 4, 4)).astype(np.float32)
+    yield "signed_zeros", rng.choice(np.array([-0.0, 0.0], np.float32), size=(6, 8, 8))
+    pixels = np.array([
+        [-0.0, 0.0, 0.0, -0.0, -1.0, -2.0],
+        [0.0, -0.0, -0.0, 0.0, -1.0, -2.0],
+        [inf, inf, 1.0, 2.0, 3.0, 4.0],
+        [1.0, inf, 2.0, inf, 3.0, 4.0],
+        [-inf, -inf, -inf, -inf, -inf, -inf],
+        [-inf, -inf, -inf, -inf, -inf, -1e30],
+        [inf, -inf, inf, -inf, inf, -inf],
+    ], np.float32)
+    yield "infinities", pixels.T[:, :, None]
+    nans = np.array([
+        [nan, 1.0, 2.0, 3.0, 4.0, 5.0],
+        [1.0, 2.0, nan, 3.0, nan, 5.0],
+        [5.0, 4.0, 3.0, 2.0, 1.0, nan],
+        [nan, nan, nan, nan, nan, nan],
+        [inf, 1.0, nan, -inf, 0.0, 2.0],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    ], np.float32)
+    yield "nans", nans.T[:, :, None]
+    one_nan = rng.normal(size=(6, 32, 32)).astype(np.float32)
+    one_nan[3, 7, 11] = nan
+    yield "one_nan", one_nan
+
+
+class TestArgmaxLabels:
+    @pytest.mark.parametrize("logits", [pytest.param(logits, id=name)
+                                        for name, logits in argmax_cases()])
+    def test_labels_equal_numpy_argmax(self, logits):
+        got = analysis.argmax_labels(logits)
+        assert got.dtype == np.uint8 and got.shape == logits.shape[1:]
+        np.testing.assert_array_equal(got, np.argmax(logits, axis=0))
+
+    def test_logits_are_left_unchanged(self):
+        logits = np.random.default_rng(42).normal(size=(6, 8, 8)).astype(np.float32)
+        before = logits.copy()
+        analysis.argmax_labels(logits)
+        assert logits.tobytes() == before.tobytes()
+
+
 class TestEvaluate:
     def test_perfect_prediction_scores_one(self):
         state = m.init_student(seed=0)

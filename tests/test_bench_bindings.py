@@ -43,3 +43,35 @@ def test_train_workload_configs_build_a_trainer(monkeypatch, tmp_path):
     assert names
     for name in names:
         trainer.Trainer(workloads.WORKLOADS[name].config(1), bundle)
+
+
+def test_a_traced_step_fires_every_backward_span_and_keeps_its_gradients(monkeypatch,
+                                                                        tmp_path):
+    """A train step under the tracer, whose op-record factory stands in for
+    `tensor.OpRecord`: each op kind's backward span fires, and the parameter
+    gradients equal an untraced step's bit for bit."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    source_spec, target_spec = datagen.preset_specs("gap-default", seed=0)
+    datagen.make_benchmark(source_spec, target_spec, 4, 2, 1, tmp_path, height=16, width=16)
+    bundle = datagen.DatasetBundle(tmp_path)
+    config = trainer.TrainConfig(steps=2, heldout_source=0, checkpoint_every=0, seed=3)
+
+    def step_gradients():
+        step = trainer.Trainer(config, bundle)
+        step.train_step()
+        return {name: p.grad for name, p in step.student.named()}
+
+    untraced = step_gradients()
+    probe = tracer.Tracer()
+    try:
+        probe.install()
+        traced = step_gradients()
+    finally:
+        probe.uninstall()
+    assert {f"tensor.{kind}.bwd" for kind in tracer.OP_KINDS} <= probe.fired()
+    assert untraced.keys() == traced.keys()
+    for name, grad in untraced.items():
+        assert grad.dtype == traced[name].dtype and grad.shape == traced[name].shape, name
+        assert grad.tobytes() == traced[name].tobytes(), name

@@ -298,6 +298,27 @@ class TestConv2d:
             tracemalloc.stop()
             gc.enable()
 
+    def test_a_relu_of_a_conv_keeps_no_conv_output_once_the_forward_returns(self):
+        # the graph keeps the conv's columns and the ReLU's output, which
+        # their backwards read; the conv's output nobody reads is freed
+        rng = np.random.default_rng(33)
+        x = tc.Tensor(rng.normal(size=(2, 16, 32, 32)).astype(np.float32))
+        k = tc.Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32),
+                      requires_grad=True)
+        cols_bytes = x.data.nbytes * 9
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            act = tc.relu(tc.conv2d(x, k, stride=1, padding=1))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        out_bytes = act.data.nbytes
+        assert cols_bytes + out_bytes <= kept < cols_bytes + out_bytes + out_bytes // 2, kept
+
     def test_channel_mismatch_raises(self):
         x = tc.Tensor(np.zeros((1, 2, 4, 4)))
         k = tc.Tensor(np.zeros((1, 3, 3, 3)))
@@ -714,6 +735,91 @@ class TestBackward:
         loss = tc.add(tc.total(tc.mul(w, x)), tc.total(tc.mul(w, w)))
         tc.backward(loss)
         np.testing.assert_allclose(w.grad, [3.0 + 4.0], atol=1e-12)
+
+    def test_a_root_that_requires_a_gradient_gets_ones(self):
+        w = tc.Tensor([1.0, -2.0], requires_grad=True)
+        root = tc.total(tc.scale(w, 3.0))
+        tc.backward(root)
+        assert same_bits(root.grad, np.float64(1.0))
+        assert same_bits(w.grad, np.array([3.0, 3.0]))
+
+        leaf = tc.Tensor(np.float32(2.5), requires_grad=True)
+        tc.backward(leaf)
+        assert same_bits(leaf.grad, np.float32(1.0))
+
+        constant = tc.Tensor(2.5)
+        tc.backward(constant)
+        assert constant.grad is None
+
+    def test_intermediates_get_no_gradient(self):
+        rng = np.random.default_rng(15)
+        x = tc.Tensor(rng.normal(size=(1, 2, 6, 6)))
+        k = tc.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        conv = tc.conv2d(x, k, padding=1)
+        act = tc.relu(conv)
+        up = tc.bilinear_resize(act, 12, 12)
+        tc.backward(tc.total(tc.scale(up, 0.5)))
+        assert k.grad is not None and x.grad is None
+        assert [t.grad for t in (conv, act, up)] == [None, None, None]
+
+    def test_a_record_keeps_producers_and_leaves_not_its_input_tensors(self):
+        x = tc.Tensor(np.ones((1, 1, 3, 3)))
+        k = tc.Tensor(np.ones((2, 1, 1, 1)), requires_grad=True)
+        conv = tc.conv2d(x, k)
+        act = tc.relu(conv)
+        assert conv.op.sinks[0] is None and conv.op.sinks[1] is k
+        assert len(act.op.sinks) == 1 and act.op.sinks[0] is conv.op
+
+    def test_an_output_feeding_two_ops_sums_its_gradients_at_its_producer(self):
+        # integer values keep every sum exact
+        w = tc.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        x = tc.Tensor([2.0, 5.0, -1.0])
+        h = tc.scale(w, 3.0)
+        tc.backward(tc.add(tc.total(tc.mul(h, x)), tc.total(tc.relu(h))))
+        # dloss/dh = x + (h > 0), and h = 3w
+        assert same_bits(w.grad, 3.0 * (x.data + (h.data > 0)))
+        assert h.grad is None
+
+    def test_a_parameter_used_by_two_ops_gets_both_gradients(self):
+        rng = np.random.default_rng(16)
+        xa, xb = (tc.Tensor(rng.normal(size=(1, 2, 5, 5))) for _ in range(2))
+        k = tc.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+
+        def loss_of(x):
+            return tc.total(tc.relu(tc.conv2d(x, k, padding=1)))
+
+        tc.backward(tc.add(loss_of(xa), loss_of(xb)))
+        both = k.grad
+        alone = []
+        for x in (xa, xb):
+            tc.reset_gradients([k])
+            tc.backward(loss_of(x))
+            alone.append(k.grad)
+        assert same_bits(both, alone[0] + alone[1])
+
+    def test_backward_twice_on_a_graph_built_in_a_helper_doubles_the_gradients(self):
+        # the helper's intermediate tensors are gone when backward runs; the
+        # records and their closures hold all that backward reads
+        rng = np.random.default_rng(17)
+        k1 = tc.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
+        k2 = tc.Tensor(rng.normal(size=(3, 4, 1, 1)) * 0.5, requires_grad=True)
+        labels = rng.integers(0, 3, size=(2, 8, 8))
+
+        def build():
+            x = tc.Tensor(rng.normal(size=(2, 3, 8, 8)))
+            h = tc.relu(tc.conv2d(x, k1, stride=2, padding=1))
+            logits = tc.bilinear_resize(tc.conv2d(h, k2), 8, 8)
+            return tc.add(
+                tc.softmax_cross_entropy(tc.take_batch(logits, 0), labels[0:1]),
+                tc.scale(tc.softmax_cross_entropy(tc.take_batch(logits, 1), labels[1:2]),
+                         0.5))
+
+        loss = build()
+        tc.backward(loss)
+        once = [k1.grad.copy(), k2.grad.copy()]
+        tc.backward(loss)
+        assert same_bits(k1.grad, 2 * once[0]) and same_bits(k2.grad, 2 * once[1])
+        assert same_bits(loss.grad, np.float64(2.0))
 
 
 class TestGradientSuiteAllOps:

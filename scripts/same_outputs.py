@@ -5,11 +5,14 @@
 In each checkout, with that checkout's `src` on the import path, it runs
 `daplab gen --preset gap-default --seed 7`, then
 `daplab train --steps 300 --seed 1` on that dataset, then `daplab eval` of
-the trained `student_final.ckpt` on the test and on the source split. It
-compares every dataset, run and evaluation file of the two sides byte for
-byte, after dropping the `wallclock.*` lines of each `run_manifest.txt`,
-which time the run. It prints one line per file and exits 1 if any file
-differs or exists on one side only.
+the trained `student_final.ckpt` on the test and on the source split. Last
+it runs `daplab train --config` with a config file it writes (CONFIG: the
+`lambda` key, the random prior, nearest down-sampling and the pseudo-label
+diagnostic, 40 steps with a checkpoint every 20). It compares every
+dataset, config, run and evaluation file of the two sides byte for byte,
+after dropping the `wallclock.*` lines of each `run_manifest.txt`, which
+time the run. It prints one line per file and exits 1 if any file differs
+or exists on one side only.
 """
 
 from __future__ import annotations
@@ -21,16 +24,20 @@ import sys
 import tempfile
 from pathlib import Path
 
+CONFIG = ("lambda = 0.95\nprior = random\ninterp = nearest\npseudo_acc_diagnostic = true\n"
+          "steps = 40\ncheckpoint_every = 20\nseed = 2\n")
 COMMANDS = (["gen", "--preset", "gap-default", "--seed", "7", "--out", "data"],
             ["train", "--data", "data", "--out", "run", "--steps", "300", "--seed", "1"],
             *(["eval", "--ckpt", "run/student_final.ckpt", "--data", "data",
-               "--split", split, "--out", f"eval_{split}"] for split in ("test", "source")))
+               "--split", split, "--out", f"eval_{split}"] for split in ("test", "source")),
+            ["train", "--data", "data", "--out", "run_config", "--config", "run.cfg"])
 
 
 def outputs(checkout: Path, work: Path) -> dict:
-    """Run COMMANDS in `work` with `checkout`'s program; map each file the
-    commands wrote to its bytes, without the run manifests' wall-clock lines."""
+    """Write CONFIG and run COMMANDS in `work` with `checkout`'s program; map
+    each file there to its bytes, without the run manifests' wall-clock lines."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    (work / "run.cfg").write_text(CONFIG, encoding="utf-8")
     for command in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "daplab.cli", *command], cwd=work,
                               env=env, capture_output=True, text=True)

@@ -26,6 +26,9 @@ ROAD, SIDEWALK, SKY, BUILDING, BIKE, MOTORBIKE = range(NUM_CLASSES)
 MANIFEST_NAME = "manifest.txt"
 RUN_MANIFEST_NAME = "run_manifest.txt"
 _SPLITS = ("source", "target_train", "target_test")
+# the label values a label map may hold, by uint8 value: the class ids and IGNORE_ID
+_LABEL_VALUES = np.zeros(256, dtype=bool)
+_LABEL_VALUES[:NUM_CLASSES] = _LABEL_VALUES[IGNORE_ID] = True
 
 
 @dataclass(frozen=True)
@@ -451,17 +454,21 @@ class DatasetBundle:
 
     def _labeled(self, split: str, i: int) -> tuple:
         """The (pixels, labels) of item i of a labeled split, checked against
-        the manifest's item digest; each file is read once, and the bytes
-        hashed are the bytes kept."""
+        the manifest's item digest, with every label a class id or IGNORE_ID;
+        each file is read once, and the bytes hashed are the bytes kept."""
         image_path, label_path = item_paths(self.root, split, i)
         digest = hashlib.sha256()
-        item = (self._pixmap(read_ppm, image_path, digest),
-                self._pixmap(read_pgm, label_path, digest))
+        pixels = self._pixmap(read_ppm, image_path, digest)
+        labels = self._pixmap(read_pgm, label_path, digest)
         key = f"item.{split}/{i:03d}"
         if digest.hexdigest() != self.entries.get(key):
             raise InputError(f"{image_path}, {label_path}: do not match {key} in "
                              f"{self.root / MANIFEST_NAME}")
-        return item
+        outside = labels[~_LABEL_VALUES[labels]]
+        if outside.size:
+            raise InputError(f"{label_path}: label id {outside[0]} is neither a class id "
+                             f"below {NUM_CLASSES} nor {IGNORE_ID}")
+        return pixels, labels
 
     def _item(self, split: str, i: int):
         """The kept bytes of item i of `split`, named as its accessor: the

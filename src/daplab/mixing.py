@@ -19,7 +19,6 @@ class MixedSample:
     image: np.ndarray          # [3,H,W]
     labels: np.ndarray         # [H,W]
     mask: np.ndarray           # [H,W] uint8, 1 where the source pixel won
-    chosen_classes: frozenset
 
 
 def sample_class_subset(source_labels: np.ndarray, rng: np.random.Generator) -> frozenset:
@@ -51,7 +50,7 @@ def classmix(source: LabeledImage, target_image: np.ndarray,
     mask = wins[source.labels]
     image = np.where(mask[None], source.image, target_image)
     labels = np.where(mask, source.labels, pseudo_labels).astype(source.labels.dtype)
-    return MixedSample(image, labels, mask.astype(np.uint8), frozenset(subset))
+    return MixedSample(image, labels, mask.astype(np.uint8))
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:

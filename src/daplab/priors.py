@@ -26,16 +26,19 @@ PRIOR_KINDS = ("onehot", "random")
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    dim: int
     vectors: np.ndarray     # [NUM_CLASSES, dim] float64 in CLASS_NAMES order, write-protected
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
 
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
 
 def build_one_hot() -> EmbeddingSet:
     """Standard basis vectors, one per class."""
-    return EmbeddingSet(NUM_CLASSES, np.eye(NUM_CLASSES))
+    return EmbeddingSet(np.eye(NUM_CLASSES))
 
 
 def build_random(dim: int, seed: int) -> EmbeddingSet:
@@ -45,7 +48,7 @@ def build_random(dim: int, seed: int) -> EmbeddingSet:
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((NUM_CLASSES, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return EmbeddingSet(dim, rows)
+    return EmbeddingSet(rows)
 
 
 def load_vectors(path) -> EmbeddingSet:
@@ -90,7 +93,7 @@ def load_vectors(path) -> EmbeddingSet:
                 break
         else:
             raise InputError(f"class {name} unresolved in {path}")
-    return EmbeddingSet(dim, np.stack(rows))
+    return EmbeddingSet(np.stack(rows))
 
 
 def save_vectors(path, embeddings: EmbeddingSet) -> None:

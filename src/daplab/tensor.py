@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .classes import IGNORE_ID
 from .errors import DimensionError
 
 _GRAD_ENABLED = True
@@ -439,10 +440,10 @@ def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 # losses
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 255) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean over non-ignored pixels of -log softmax(logits)[label].
 
-    `labels` is an integer [N,H,W] array; entries equal to `ignore_id`
+    `labels` is an integer [N,H,W] array; entries equal to IGNORE_ID
     contribute nothing. Raises if every pixel is ignored (the mean would be
     undefined) or if a label falls outside [0, C). The log-softmax has the
     logits' dtype; the mean is accumulated in float64.
@@ -453,12 +454,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_id: int = 2
     labels = np.asarray(labels)
     if labels.shape != (n, h, w):
         raise DimensionError(f"labels shape {labels.shape} != {(n, h, w)}")
-    valid = labels != ignore_id
+    valid = labels != IGNORE_ID
     count = int(valid.sum())
     if count == 0:
         raise DimensionError("softmax_cross_entropy: every pixel is ignored")
-    if labels.dtype != np.uint8:
-        labels = labels.astype(np.int64)
     safe_lab = np.where(valid, labels, 0)      # an ignored pixel points at class 0
     if safe_lab.min() < 0 or safe_lab.max() >= c:
         raise DimensionError("softmax_cross_entropy: label id out of range")
@@ -515,9 +514,8 @@ def sum_squared_error(a: Tensor, b: Tensor) -> Tensor:
 
 
 def polynomial_lr(base_lr: float, step: int, total_steps: int, power: float = 0.9) -> float:
-    """Polynomial decay: base_lr * (1 - step/total)^power, floored at 0."""
-    if total_steps <= 0:
-        return base_lr
+    """Polynomial decay: base_lr * (1 - step/total)^power, floored at 0;
+    total_steps is at least 1 (a run of 0 steps takes no step)."""
     frac = min(max(step / total_steps, 0.0), 1.0)
     return base_lr * (1.0 - frac) ** power
 
@@ -533,9 +531,10 @@ class SGD:
 
     lr_eff = lr * multiplier for the longest matching name prefix in
     `lr_multipliers`. Names starting with a `weight_decay_exempt` prefix
-    skip the decay term. Parameters whose grad is None are left untouched:
-    they never entered the graph this step, so neither momentum nor weight
-    decay applies to them.
+    skip the decay term. Both are settled per name at construction.
+    Parameters whose grad is None are left untouched: they never entered
+    the graph this step, so neither momentum nor weight decay applies to
+    them.
     """
 
     def __init__(self, params: dict, lr: float, momentum: float = 0.0,
@@ -544,18 +543,14 @@ class SGD:
         self.params = dict(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self.lr_multipliers = dict(lr_multipliers or {})
-        self.weight_decay_exempt = tuple(weight_decay_exempt)
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-
-    def _multiplier(self, name: str) -> float:
-        best = 1.0
-        best_len = -1
-        for prefix, mult in self.lr_multipliers.items():
-            if name.startswith(prefix) and len(prefix) > best_len:
-                best, best_len = mult, len(prefix)
-        return best
+        multipliers = lr_multipliers or {}
+        exempt = tuple(weight_decay_exempt)
+        self.multiplier, self.decay = {}, {}
+        for name in self.params:
+            prefixes = [prefix for prefix in multipliers if name.startswith(prefix)]
+            self.multiplier[name] = multipliers[max(prefixes, key=len)] if prefixes else 1.0
+            self.decay[name] = 0.0 if name.startswith(exempt) else float(weight_decay)
 
     def step(self, lr: Optional[float] = None) -> None:
         """Update every parameter and its velocity in place; p.grad is only
@@ -565,16 +560,13 @@ class SGD:
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay and not name.startswith(self.weight_decay_exempt):
-                g = self.weight_decay * p.data
+            if self.decay[name]:
+                g = self.decay[name] * p.data
                 g += p.grad
             v = self.velocity[name]
             v *= self.momentum
             v += g
-            if self.momentum:
-                update = self.momentum * v
-                update += g
-                update *= rate * self._multiplier(name)
-            else:
-                update = rate * self._multiplier(name) * v
+            update = self.momentum * v
+            update += g
+            update *= rate * self.multiplier[name]
             p.data -= update

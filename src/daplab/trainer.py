@@ -95,32 +95,27 @@ class StepRecord:
 
 METRICS_HEADER = ",".join(f.name for f in fields(StepRecord))
 
-_CONFIG_FILE_KEYS = {"ema_lambda": "lambda"}
-_CONFIG_FIELD_FOR_KEY = {v: k for k, v in _CONFIG_FILE_KEYS.items()}
+# the TrainConfig field of each config file key: the key is the field's
+# name, except for the EMA decay
+_CONFIG_FIELDS = {"lambda" if f.name == "ema_lambda" else f.name: f.name
+                  for f in fields(TrainConfig)}
 
 
 def config_to_text(config: TrainConfig) -> str:
-    lines = []
-    for field in fields(TrainConfig):
-        key = _CONFIG_FILE_KEYS.get(field.name, field.name)
-        value = getattr(config, field.name)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {getattr(config, name)}\n"
+                   for key, name in _CONFIG_FIELDS.items())
 
 
 def parse_config(path) -> TrainConfig:
-    """A key = value file in the manifest format (datagen.parse_manifest).
-    Each value is parsed as the type its TrainConfig field declares. A
-    field set twice, under its file key and its field name, is an error."""
+    """A key = value file in the manifest format (datagen.parse_manifest),
+    with exactly the keys that config_to_text writes. Each value is parsed
+    as the type its TrainConfig field declares."""
     types = get_type_hints(TrainConfig)
-    kwargs, key_for = {}, {}
+    kwargs = {}
     for key, value in parse_manifest(path).items():
-        name = _CONFIG_FIELD_FOR_KEY.get(key, key)
-        if name not in types:
-            raise InputError(f"{path}: unknown config key {name!r}")
-        if name in key_for:
-            raise InputError(f"{path}: keys {key_for[name]!r} and {key!r} both set {name!r}")
-        key_for[name] = key
+        name = _CONFIG_FIELDS.get(key)
+        if name is None:
+            raise InputError(f"{path}: unknown config key {key!r}")
         try:
             kwargs[name] = _coerce(types[name], value)
         except ValueError:
@@ -207,9 +202,11 @@ def train_supervised(items, steps: int, seed: int) -> md.ModelState:
     order = np.random.default_rng(seed)
     for step in range(steps):
         item = items[int(order.integers(len(items)))]
-        out = md.forward(state, Tensor(item.image[None]))
-        descend(optimizer, tc.softmax_cross_entropy(out.logits, item.labels[None]),
-                step, steps)
+        # only the loss is held through descend, and only until it returns:
+        # the graph keeps what its backward reads, and the logits go first
+        descend(optimizer, tc.softmax_cross_entropy(
+            md.forward(state, Tensor(item.image[None]), project=False).logits,
+            item.labels[None]), step, steps)
     return state
 
 

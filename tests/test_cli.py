@@ -362,6 +362,19 @@ class TestEval:
         assert (result_dir / "confusion.csv").read_bytes() == \
             (out / "eval_final_confusion.csv").read_bytes()
 
+    def test_eval_of_the_final_train_state_matches_the_final_student(self, data_dir,
+                                                                     tmp_path):
+        # a train state's student records are the model eval scores
+        out = tmp_path / "trained"
+        assert cli.main(fast_train_args(data_dir, out)) == 0
+        state = max((out / "checkpoints").glob("state_*.ckpt"))
+        for ckpt, sub in ((out / "student_final.ckpt", "e_student"), (state, "e_state")):
+            assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                             "--out", str(tmp_path / sub)]) == 0
+        for name in ("metrics.csv", "confusion.csv"):
+            assert (tmp_path / "e_state" / name).read_bytes() == \
+                (tmp_path / "e_student" / name).read_bytes()
+
     def test_iou_recomputed_from_confusion_matches(self, data_dir, tmp_path):
         out = tmp_path / "trained2"
         assert cli.main(fast_train_args(data_dir, out)) == 0
@@ -719,6 +732,8 @@ class TestMalformedInput:
                                            ("interp = cubic", "interp"),
                                            ("heldout_source = -1", "heldout_source"),
                                            ("momentum = 0.9", "momentum"),
+                                           # the EMA decay's key is `lambda` only
+                                           ("ema_lambda = 0.5", "ema_lambda"),
                                            ("alpha = nan", "alpha"),
                                            ("lr = 0", "lr"),
                                            ("lr = -1", "lr"),
@@ -744,11 +759,26 @@ class TestMalformedInput:
         assert f"{config}:4: key 'alpha' is already set on line 1" in capsys.readouterr().err
         assert not out.exists()
 
-        config.write_text("lambda = 0.9\nema_lambda = 0.5\n")
-        code = cli.main(fast_train_args(data_dir, out, ["--config", str(config)]))
-        assert code == 3
-        assert (f"{config}: keys 'lambda' and 'ema_lambda' both set 'ema_lambda'"
-                in capsys.readouterr().err)
+    @pytest.mark.parametrize("split, i, command", [("target_test", 1, "eval"),
+                                                   ("source", 2, "train")])
+    def test_label_id_outside_the_class_table_exits_3_naming_file_and_value(
+            self, data_dir, tmp_path, capsys, split, i, command):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        label = data / split / f"lab_{i:03d}.pgm"
+        raw = bytearray(label.read_bytes())
+        raw[-1] = 9        # between the class ids and the ignore id
+        label.write_bytes(bytes(raw))
+        reseal_item(data, split, i)
+        out = tmp_path / "out"
+        if command == "train":
+            args = fast_train_args(data, out)
+        else:
+            ckpt = tmp_path / "student.ckpt"
+            md.save_checkpoint(ckpt, md.init_student(0).data_arrays())
+            args = ["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]
+        assert cli.main(args) == 3
+        assert f"{label}: label id 9 " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", UNREADABLE_INPUTS)

@@ -167,15 +167,13 @@ class TestAugmentMixed:
         out = mixing.augment_mixed(sample, np.random.default_rng(1), 0.5, 1.0)
         np.testing.assert_array_equal(out.labels, sample.labels)
         np.testing.assert_array_equal(out.mask, sample.mask)
-        assert out.chosen_classes == sample.chosen_classes
 
     def test_blur_kernel_mass_preserves_constant_image(self):
         # normalized kernel + clamped edges reproduce a constant exactly,
         # so the mean pixel value survives blurring
         constant = mixing.MixedSample(np.full((3, 16, 16), 0.4),
                                       np.zeros((16, 16), dtype=np.uint8),
-                                      np.zeros((16, 16), dtype=np.uint8),
-                                      frozenset())
+                                      np.zeros((16, 16), dtype=np.uint8))
         out = mixing.augment_mixed(constant, np.random.default_rng(2), 0.0, 1.0)
         assert abs(out.image.mean() - 0.4) < 1e-6
         np.testing.assert_allclose(out.image, 0.4, atol=1e-6)
@@ -218,7 +216,7 @@ class TestAugmentMixed:
     def test_image_is_bit_identical_to_the_allocating_formula(self, jitter_strength, sigma):
         sample = self.sample(seed=11)
         sample = mixing.MixedSample(sample.image[:, :, :13].copy(), sample.labels[:, :13],
-                                    sample.mask[:, :13], sample.chosen_classes)
+                                    sample.mask[:, :13])
         given = sample.image.copy()
         rng, draws = np.random.default_rng(5), np.random.default_rng(5)
         out = mixing.augment_mixed(sample, rng, jitter_strength, sigma)

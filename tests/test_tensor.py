@@ -526,7 +526,8 @@ class TestSoftmaxCrossEntropy:
         return loss, grad * float(upstream)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("label_dtype", [np.uint8, np.int64, np.float64])
+    @pytest.mark.parametrize("label_dtype", [np.uint8, np.uint16, np.int32, np.int64,
+                                             np.float64])
     def test_value_and_gradient_are_bit_identical_to_the_take_along_axis_formula(
             self, dtype, label_dtype):
         rng = np.random.default_rng(31)
@@ -978,6 +979,18 @@ class TestSGD:
         opt.step()
         assert a.data[0] == pytest.approx(1.0 - 1.0, abs=1e-15)
         assert b.data[0] == pytest.approx(1.0 - 0.1, abs=1e-15)
+
+    def test_the_longest_matching_prefix_sets_the_rate(self):
+        names = ("head.conv", "head.bias", "backbone.w")
+        params = {name: tc.Tensor([1.0], requires_grad=True) for name in names}
+        for p in params.values():
+            p.grad = np.array([1.0])
+        # the longest prefix is listed in the middle, so neither the first nor
+        # the last match in dict order gives "head.conv"'s rate
+        tc.SGD(params, lr=0.1, lr_multipliers={"head.": 10.0, "head.conv": 2.0,
+                                               "head": 5.0}).step()
+        assert [params[name].data[0] for name in names] == \
+            pytest.approx([1.0 - 0.2, 1.0 - 1.0, 1.0 - 0.1], abs=1e-15)
 
     @staticmethod
     def allocating_step(data, velocity, grads, rate, momentum, weight_decay,

@@ -8,10 +8,12 @@ In each checkout, with that checkout's `src` on the import path, it runs
 the trained `student_final.ckpt` on the test and on the source split. Last
 it runs `daplab train --config` with a config file it writes (CONFIG: the
 `lambda` key, the random prior, nearest down-sampling and the pseudo-label
-diagnostic, 40 steps with a checkpoint every 20). It compares every
-dataset, config, run and evaluation file of the two sides byte for byte,
-after dropping the `wallclock.*` lines of each `run_manifest.txt`, which
-time the run. It prints one line per file and exits 1 if any file differs
+diagnostic, 40 steps with a checkpoint every 20). Then it writes a small
+vector file (VECTORS, two of its classes under their alias names) and runs
+`daplab sweep --priors onehot,vectors.txt --seeds 1 --steps 20` in one
+worker (DAP_LAB_THREADS=1). It compares every dataset, config, run, sweep
+and evaluation file of the two sides byte for byte, after dropping the
+`wallclock.*` lines of each `run_manifest.txt`, which time the run. It prints one line per file and exits 1 if any file differs
 or exists on one side only.
 """
 
@@ -26,18 +28,24 @@ from pathlib import Path
 
 CONFIG = ("lambda = 0.95\nprior = random\ninterp = nearest\npseudo_acc_diagnostic = true\n"
           "steps = 40\ncheckpoint_every = 20\nseed = 2\n")
+VECTORS = ("D 3\nroad 1 0 0.1\npavement 0.9 0 0.2\nsky 0 0.1 1\nbuilding 0.2 0.1 0.9\n"
+           "bicycle 0.4 1 0\nmotorcycle 0.5 1 0.3\n")
 COMMANDS = (["gen", "--preset", "gap-default", "--seed", "7", "--out", "data"],
             ["train", "--data", "data", "--out", "run", "--steps", "300", "--seed", "1"],
             *(["eval", "--ckpt", "run/student_final.ckpt", "--data", "data",
                "--split", split, "--out", f"eval_{split}"] for split in ("test", "source")),
-            ["train", "--data", "data", "--out", "run_config", "--config", "run.cfg"])
+            ["train", "--data", "data", "--out", "run_config", "--config", "run.cfg"],
+            ["sweep", "--data", "data", "--out", "sweep", "--priors", "onehot,vectors.txt",
+             "--seeds", "1", "--steps", "20"])
 
 
 def outputs(checkout: Path, work: Path) -> dict:
-    """Write CONFIG and run COMMANDS in `work` with `checkout`'s program; map
-    each file there to its bytes, without the run manifests' wall-clock lines."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    """Write CONFIG and VECTORS and run COMMANDS in `work` with `checkout`'s
+    program; map each file there to its bytes, without the run manifests'
+    wall-clock lines."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), DAP_LAB_THREADS="1")
     (work / "run.cfg").write_text(CONFIG, encoding="utf-8")
+    (work / "vectors.txt").write_text(VECTORS, encoding="utf-8")
     for command in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "daplab.cli", *command], cwd=work,
                               env=env, capture_output=True, text=True)

@@ -11,6 +11,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .classes import CLASS_NAMES, IGNORE_ID, NUM_CLASSES
+from .datagen import write_pgm
 from .errors import DimensionError, InputError, read_input_text
 from . import model as md
 from . import tensor as tc
@@ -124,7 +125,8 @@ def class_feature_stats(state: md.ModelState, items: Sequence,
 
     Feature vectors are assigned to classes by the nearest-down-sampled
     ground-truth labels of each item. Returns ({class_id: ClassGaussian or
-    None}, cosine table of the class means).
+    None}, cosine table of the class means, NaN in an absent class's row and
+    column).
     """
     collected = {c: [] for c in class_ids}
     for item in items:
@@ -138,12 +140,12 @@ def class_feature_stats(state: md.ModelState, items: Sequence,
                 collected[c].append(features[:, hit].T)
     stats = fit_class_gaussians(collected)
 
-    ids = list(class_ids)
-    cosine = np.full((len(ids), len(ids)), np.nan)
-    for i, a in enumerate(ids):
-        for j, b in enumerate(ids):
-            if stats[a] is not None and stats[b] is not None:
-                cosine[i, j] = cosine_similarity(stats[a].mean, stats[b].mean)
+    present = [i for i, c in enumerate(class_ids) if stats[c] is not None]
+    cosine = np.full((len(class_ids), len(class_ids)), np.nan)
+    if present:
+        cosine[np.ix_(present, present)] = relationship_matrix(
+            [stats[class_ids[i]].mean for i in present],
+            [f"the feature mean of class {class_ids[i]}" for i in present])
     return stats, cosine
 
 
@@ -154,13 +156,6 @@ def nearest_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     ys = np.argmax(tc._resize_matrix(h, out_h, "nearest"), axis=1)
     xs = np.argmax(tc._resize_matrix(w, out_w, "nearest"), axis=1)
     return labels[ys[:, None], xs[None, :]]
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise InputError("cosine of a zero vector is undefined")
-    return float(a @ b / (na * nb))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +223,8 @@ def emit_heatmap(matrix: np.ndarray, path) -> None:
     if not np.isfinite(matrix).all():
         raise InputError("heatmap values must be finite")
     clipped = np.clip(matrix, -1.0, 1.0)
-    pixels = np.rint((clipped + 1.0) / 2.0 * 255.0).astype(np.uint8)
     path = Path(path)
-    h, w = pixels.shape
-    path.write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    write_pgm(path, np.rint((clipped + 1.0) / 2.0 * 255.0).astype(np.uint8))
     sidecar = path.with_suffix(path.suffix + ".csv")
     lines = [",".join(f"{v:.6f}" for v in row) for row in clipped]
     sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")

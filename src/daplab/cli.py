@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage, 3 bad input/config, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import time
@@ -20,6 +21,7 @@ from . import datagen as dg
 from . import model as md
 from . import trainer as tr
 from .datagen import DatasetBundle
+from .priors import make_embeddings
 from .errors import InputError, NumericError
 
 EXIT_OK = 0
@@ -50,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", help="key = value config file")
     train.add_argument("--alpha", type=float)
     train.add_argument("--lambda", dest="ema_lambda", type=float)
-    train.add_argument("--lr", type=float)
     train.add_argument("--steps", type=int)
     train.add_argument("--seed", type=int)
     train.add_argument("--prior", help="a prior kind (onehot, random) or the path "
@@ -232,7 +233,7 @@ def cmd_sweep(args) -> int:
     if clashing:
         raise InputError(f"--{label}s values {', '.join(clashing)} share a cell directory")
 
-    # a rejected grid or dataset leaves no output directory behind
+    # a rejected grid, prior or dataset leaves no output directory behind
     out = Path(args.out)
     bundle = DatasetBundle(args.data)
     jobs = []
@@ -241,6 +242,7 @@ def cmd_sweep(args) -> int:
             config = replace(base, **{label: value, "seed": seed})
             cell_dir = out / "cells" / f"{label}_{name}_seed{seed}"
             jobs.append((label, value, seed, config, str(args.data), str(cell_dir)))
+        make_embeddings(config.prior, dim=config.prior_dim)  # parses a vector file
     workers = min(worker_cap(), len(jobs))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -250,23 +252,25 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_run_cell(job) for job in jobs]
 
-    cells_path = out / "sweep_cells.csv"
-    with cells_path.open("w", encoding="utf-8") as f:
-        f.write(f"{label},seed,final_miou,best_miou,status\n")
-        for _, value, seed, final_miou, best_miou, status in rows:
-            f.write(f"{value},{seed},{final_miou!r},{best_miou!r},{status}\n")
+    # a field holding a comma, quote or line break is quoted, so every row
+    # keeps its header's field count
+    with (out / "sweep_cells.csv").open("w", encoding="utf-8", newline="") as f:
+        cells = csv.writer(f, lineterminator="\n")
+        cells.writerow([label, "seed", "final_miou", "best_miou", "status"])
+        cells.writerows(row[1:] for row in rows)
 
     table_path = out / "sweep_table.csv"
     failed_total = 0
-    with table_path.open("w", encoding="utf-8") as f:
-        f.write(f"{label},mean_miou,std_miou,n_ok,n_failed\n")
+    with table_path.open("w", encoding="utf-8", newline="") as f:
+        table = csv.writer(f, lineterminator="\n")
+        table.writerow([label, "mean_miou", "std_miou", "n_ok", "n_failed"])
         for value in values:
             scores = [r[3] for r in rows if r[1] == value and not r[5].startswith("f")]
             failed = sum(1 for r in rows if r[1] == value and r[5].startswith("f"))
             failed_total += failed
             mean = float(np.mean(scores)) if scores else float("nan")
             std = float(np.std(scores)) if scores else float("nan")
-            f.write(f"{value},{mean!r},{std!r},{len(scores)},{failed}\n")
+            table.writerow([value, mean, std, len(scores), failed])
 
     dg.write_run_manifest(out, "sweep", {
         "axis": label,

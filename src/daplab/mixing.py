@@ -53,26 +53,29 @@ def classmix(source: LabeledImage, target_image: np.ndarray,
     return MixedSample(image, labels, mask.astype(np.uint8))
 
 
-def _gaussian_kernel(sigma: float) -> np.ndarray:
-    radius = max(1, int(math.ceil(3.0 * sigma)))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (x / sigma) ** 2)
-    return kernel / kernel.sum()
+# The fixed photometric augmentation of the mixed image, as in DACS: a
+# brightness and contrast jitter, then a Gaussian blur.
+JITTER_STRENGTH = 0.2
+BLUR_SIGMA = 0.5
+
+_BLUR_RADIUS = math.ceil(3.0 * BLUR_SIGMA)
+BLUR_KERNEL = np.exp(-0.5 * (np.arange(-_BLUR_RADIUS, _BLUR_RADIUS + 1,
+                                       dtype=np.float64) / BLUR_SIGMA) ** 2)
+BLUR_KERNEL /= BLUR_KERNEL.sum()
 
 
-def _blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with clamped (edge-replicated) borders. Each
-    axis pads by repeating its edge indices, then adds the weighted taps in
-    kernel order into a zeroed sum."""
-    kernel = _gaussian_kernel(sigma)
-    radius = kernel.size // 2
+def _blur(image: np.ndarray) -> np.ndarray:
+    """Separable Gaussian blur with BLUR_KERNEL and clamped (edge-replicated)
+    borders. Each axis pads by repeating its edge indices, then adds the
+    weighted taps in kernel order into a zeroed sum."""
     out = image
     for axis in (1, 2):
         size = out.shape[axis]
-        padded = out.take(np.clip(np.arange(-radius, size + radius), 0, size - 1), axis=axis)
+        padded = out.take(np.clip(np.arange(-_BLUR_RADIUS, size + _BLUR_RADIUS), 0, size - 1),
+                          axis=axis)
         acc = np.zeros_like(out)
         tap = np.empty_like(out)
-        for k, weight in enumerate(kernel):
+        for k, weight in enumerate(BLUR_KERNEL):
             sl = [slice(None)] * 3
             sl[axis] = slice(k, k + size)
             np.multiply(weight, padded[tuple(sl)], out=tap)
@@ -81,22 +84,14 @@ def _blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def augment_mixed(sample: MixedSample, rng: np.random.Generator,
-                  jitter_strength: float, blur_sigma: float) -> MixedSample:
+def augment_mixed(sample: MixedSample, rng: np.random.Generator) -> MixedSample:
     """Brightness/contrast jitter plus Gaussian blur on the image only;
-    labels and mask are untouched. The two jitter draws happen even at
-    strength 0 so rng consumption does not depend on the settings."""
-    if jitter_strength < 0 or blur_sigma < 0:
-        raise InputError("augmentation strengths must be >= 0")
-    brightness = rng.uniform(-jitter_strength, jitter_strength)
-    contrast = 1.0 + rng.uniform(-jitter_strength, jitter_strength)
-    image = sample.image
-    if jitter_strength > 0:
-        image = image - 0.5
-        image *= contrast
-        image += 0.5
-        image += brightness
-        np.clip(image, 0.0, 1.0, out=image)
-    if blur_sigma > 0:
-        image = _blur(image, blur_sigma)
-    return replace(sample, image=image)
+    labels and mask are untouched."""
+    brightness = rng.uniform(-JITTER_STRENGTH, JITTER_STRENGTH)
+    contrast = 1.0 + rng.uniform(-JITTER_STRENGTH, JITTER_STRENGTH)
+    image = sample.image - 0.5
+    image *= contrast
+    image += 0.5
+    image += brightness
+    np.clip(image, 0.0, 1.0, out=image)
+    return replace(sample, image=_blur(image))

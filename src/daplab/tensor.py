@@ -200,9 +200,8 @@ def backward(loss: Tensor) -> None:
                 flowing[sink] = grad_in
     if loss.requires_grad:
         flowing[loss] = np.ones_like(loss.data)
+    # every reachable record was popped, so only leaves are left
     for leaf, grad in flowing.items():
-        if not isinstance(leaf, Tensor):
-            continue
         if leaf.grad is None:
             leaf.grad = np.array(grad, dtype=leaf.data.dtype, copy=True)
         else:

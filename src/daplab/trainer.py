@@ -26,14 +26,15 @@ from .tensor import Tensor
 
 
 # The fixed self-training recipe. The paper varies the loss weight, the
-# teacher decay, the prior and the embedding down-sampling, never these.
+# teacher decay, the prior and the embedding down-sampling, never these; the
+# mixed image's augmentation is fixed in `mixing`.
+LR = 0.01                 # the adaptation run's base rate
+SUPERVISED_LR = 0.02      # the supervised controls' base rate
 MOMENTUM = 0.9
 WEIGHT_DECAY = 5e-4
 HEAD_LR_MULTIPLIER = 10.0
 PROJECTOR_LR_MULTIPLIER = 0.5
 LR_POWER = 0.9
-JITTER_STRENGTH = 0.2
-BLUR_SIGMA = 0.5
 
 INTERP_MODES = ("bilinear", "nearest")
 
@@ -45,7 +46,6 @@ class TrainConfig:
 
     alpha: float = 1.0
     ema_lambda: float = 0.99
-    lr: float = 0.01
     steps: int = 2000
     prior: str = "onehot"             # one of PRIOR_KINDS, or a vector file path
     prior_dim: int = 300              # used by random priors
@@ -58,8 +58,6 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise InputError(f"alpha must be a finite number >= 0, got {self.alpha}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise InputError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.ema_lambda <= 1.0:
             raise InputError("lambda must lie in [0, 1]")
         if self.steps < 0:
@@ -190,9 +188,6 @@ def descend(optimizer: tc.SGD, loss: Tensor, step: int, steps: int) -> float:
     return lr_t
 
 
-SUPERVISED_LR = 0.02
-
-
 def train_supervised(items, steps: int, seed: int) -> md.ModelState:
     """Plain cross-entropy training on a labeled split; used for oracle and
     source-only control models. Fixed recipe: make_optimizer at base lr 0.02
@@ -235,7 +230,7 @@ class Trainer:
         self.student = md.to_float32(
             md.init_student(config.seed, prior_dim=self.embeddings.dim))
         self.teacher = md.make_teacher(self.student)
-        self.optimizer = make_optimizer(self.student, config.lr)
+        self.optimizer = make_optimizer(self.student, LR)
 
         self.n_train_source = bundle.n_source - config.heldout_source
         self.step_index = 0
@@ -260,7 +255,7 @@ class Trainer:
         pseudo = pseudo_label(self.teacher, target_image)
         subset = mixing.sample_class_subset(source.labels, rng)
         mixed = mixing.classmix(source, target_image, pseudo, subset)
-        mixed = mixing.augment_mixed(mixed, rng, JITTER_STRENGTH, BLUR_SIGMA)
+        mixed = mixing.augment_mixed(mixed, rng)
 
         # built in the kernels' dtype: assigning rounds as astype does
         dtype = self.student.params["backbone.conv1"].data.dtype
@@ -413,7 +408,7 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
         if len(lines) < start_step + 1:
             raise InputError(f"{metrics_path}: the step log ends before step "
                              f"{start_step}, where the train state resumes")
-        metrics_path.write_text("\n".join(lines[:start_step + 1]) + "\n", encoding="utf-8")
+        md.write_atomic(metrics_path, "\n".join(lines[:start_step + 1]).encode() + b"\n")
 
     def checkpoint(step_done: int) -> None:
         """Save best.ckpt when the student beats the best held-out score so

@@ -6,7 +6,7 @@ import pytest
 from daplab import analysis
 from daplab import model as m
 from daplab.classes import IGNORE_ID, NUM_CLASSES
-from daplab.datagen import LabeledImage
+from daplab.datagen import LabeledImage, read_pgm
 from daplab.errors import InputError
 
 
@@ -153,10 +153,6 @@ class TestClassFeatureStats:
                                       np.full(3, analysis.VARIANCE_FLOOR))
         assert stats[0].count == 40
 
-    def test_cosine_of_mean_with_itself_is_one(self):
-        v = np.array([0.3, 0.4])
-        assert analysis.cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
     def test_synthetic_clouds_match_closed_form(self):
         rng = np.random.default_rng(4)
         mean_a, mean_b = np.array([2.0, 0.0]), np.array([1.0, 1.0])
@@ -169,8 +165,8 @@ class TestClassFeatureStats:
         np.testing.assert_allclose(stats[0].mean, mean_a, atol=1e-12)
         np.testing.assert_allclose(stats[1].mean, mean_b, atol=1e-12)
         expected = (mean_a @ mean_b) / (np.linalg.norm(mean_a) * np.linalg.norm(mean_b))
-        assert analysis.cosine_similarity(stats[0].mean, stats[1].mean) == \
-            pytest.approx(expected, abs=1e-12)
+        cosine = analysis.relationship_matrix([stats[0].mean, stats[1].mean])
+        assert cosine[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_absent_class_marked_none(self):
         state = m.init_student(seed=5)
@@ -183,6 +179,15 @@ class TestClassFeatureStats:
         assert stats[5] is None
         assert np.isnan(cosine[0, 1]) and np.isnan(cosine[1, 1])
         assert cosine[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_zero_class_mean_names_the_class(self):
+        # all-zero weights give all-zero features, so no class mean has a cosine
+        state = m.init_student(seed=5)
+        for p in state.params.values():
+            p.data = np.zeros_like(p.data)
+        item = LabeledImage(np.full((3, 16, 16), 0.5), np.full((16, 16), 3, np.uint8))
+        with pytest.raises(InputError, match="zero vector for the feature mean of class 3"):
+            analysis.class_feature_stats(state, [item], [0, 3])
 
     def test_nearest_label_downsampling_convention(self):
         labels = np.arange(64, dtype=np.uint8).reshape(8, 8) % NUM_CLASSES
@@ -330,6 +335,12 @@ class TestHeatmap:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(InputError):
             analysis.emit_heatmap(np.array([[np.inf]]), tmp_path / "x.pgm")
+
+    def test_a_2x3_matrix_reads_back_as_a_2x3_pixmap(self, tmp_path):
+        path = tmp_path / "wide.pgm"
+        analysis.emit_heatmap(np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, -1.0]]), path)
+        assert path.read_bytes().startswith(b"P5\n3 2\n255\n")
+        np.testing.assert_array_equal(read_pgm(path), [[0, 128, 255], [255, 255, 0]])
 
     def test_values_clipped(self, tmp_path):
         path = tmp_path / "clip.pgm"

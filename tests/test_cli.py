@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import multiprocessing
@@ -583,14 +584,17 @@ class TestSweep:
         assert f"prior = {b}\n" in (cells / "prior_B.txt_seed0" / "config.txt").read_text()
 
     @pytest.mark.parametrize("values, named", [("missing.txt", "missing.txt"),
-                                               ("a.txt,x/a.txt", "x/a.txt")],
-                             ids=["missing-file", "same-file-name"])
+                                               ("a.txt,x/a.txt", "x/a.txt"),
+                                               ("onehot,bad.txt", "bad.txt:3: expected 3 "
+                                                                  "values, got 2")],
+                             ids=["missing-file", "same-file-name", "malformed-file"])
     def test_bad_prior_value_exits_3_before_creating_out(self, data_dir, tmp_path, capsys,
                                                          monkeypatch, values, named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "x").mkdir()
         write_vectors(tmp_path / "a.txt")
         write_vectors(tmp_path / "x" / "a.txt")
+        (tmp_path / "bad.txt").write_text("D 3\nroad 1 2 3\nsidewalk 1 2\n")
         out = tmp_path / "sweep_bad"
         code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
                          "--priors", values, "--seeds", "1", "--steps", "2",
@@ -598,6 +602,39 @@ class TestSweep:
         assert code == 3
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_malformed_base_prior_file_exits_3_before_creating_out(self, data_dir,
+                                                                     tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("D 2\nroad 1 2\nsidewalk 1 2 3\n")
+        config = tmp_path / "base.cfg"
+        config.write_text(f"prior = {bad}\n")
+        out = tmp_path / "sweep_bad_base"
+        code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--alphas", "0,1", "--seeds", "1", "--steps", "2",
+                         "--config", str(config)])
+        assert code == 3
+        assert "bad.txt:3: expected 2 values, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_failure_message_with_a_comma_keeps_the_header_field_count(
+            self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAP_LAB_THREADS", "1")
+
+        def failing(config, bundle, out_dir):
+            raise RuntimeError('seed 0, step 3: "stopped"')
+        monkeypatch.setattr(tr, "run", failing)
+        out = tmp_path / "sweep_failed"
+        assert cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--alphas", "1.0,0.5", "--seeds", "1", "--steps", "2"]) == 0
+        for name in ("sweep_cells.csv", "sweep_table.csv"):
+            with (out / name).open(newline="") as f:
+                header, *rows = csv.reader(f)
+            assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+        assert rows == [["1.0", "nan", "nan", "0", "1"], ["0.5", "nan", "nan", "0", "1"]]
+        with (out / "sweep_cells.csv").open(newline="") as f:
+            statuses = [row[-1] for row in csv.reader(f)][1:]
+        assert statuses == ['failed: seed 0, step 3: "stopped"'] * 2
 
     def test_unknown_prior_exits_3_before_any_cell(self, data_dir, tmp_path, capsys):
         out = tmp_path / "sweep_clip"
@@ -735,9 +772,8 @@ class TestMalformedInput:
                                            # the EMA decay's key is `lambda` only
                                            ("ema_lambda = 0.5", "ema_lambda"),
                                            ("alpha = nan", "alpha"),
-                                           ("lr = 0", "lr"),
-                                           ("lr = -1", "lr"),
-                                           ("lr = nan", "lr"),
+                                           # the base rate is fixed, as momentum is
+                                           ("lr = 0.01", "lr"),
                                            ("prior = clip", "prior"),
                                            ("seed = -1", "seed")])
     def test_bad_config_value_exits_3_and_names_key(self, data_dir, tmp_path,
@@ -842,6 +878,12 @@ class TestMalformedInput:
         assert "vector_file" in capsys.readouterr().err
         assert cli.main(fast_train_args(data_dir, out, ["--vectors", str(vec)])) == 2
         assert "--vectors" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_lr_flag_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out, ["--lr", "0.01"])) == 2
+        assert "--lr" in capsys.readouterr().err
         assert not out.exists()
 
     def test_removed_resume_flag_is_a_usage_error(self, data_dir, tmp_path, capsys):

@@ -157,72 +157,54 @@ class TestAugmentMixed:
         source, target, pseudo = toy_pair(seed, size=16)
         return mixing.classmix(source, target, pseudo, frozenset({0, 1}))
 
-    def test_zero_strengths_leave_image(self):
-        sample = self.sample()
-        out = mixing.augment_mixed(sample, np.random.default_rng(0), 0.0, 0.0)
-        np.testing.assert_array_equal(out.image, sample.image)
-
     def test_labels_and_mask_always_untouched(self):
         sample = self.sample()
-        out = mixing.augment_mixed(sample, np.random.default_rng(1), 0.5, 1.0)
+        out = mixing.augment_mixed(sample, np.random.default_rng(1))
         np.testing.assert_array_equal(out.labels, sample.labels)
         np.testing.assert_array_equal(out.mask, sample.mask)
 
     def test_blur_kernel_mass_preserves_constant_image(self):
         # normalized kernel + clamped edges reproduce a constant exactly,
         # so the mean pixel value survives blurring
-        constant = mixing.MixedSample(np.full((3, 16, 16), 0.4),
-                                      np.zeros((16, 16), dtype=np.uint8),
-                                      np.zeros((16, 16), dtype=np.uint8))
-        out = mixing.augment_mixed(constant, np.random.default_rng(2), 0.0, 1.0)
-        assert abs(out.image.mean() - 0.4) < 1e-6
-        np.testing.assert_allclose(out.image, 0.4, atol=1e-6)
+        out = mixing._blur(np.full((3, 16, 16), 0.4))
+        assert abs(out.mean() - 0.4) < 1e-6
+        np.testing.assert_allclose(out, 0.4, atol=1e-6)
 
-    def test_rng_consumption_independent_of_strengths(self):
-        sample = self.sample()
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        mixing.augment_mixed(sample, rng_a, 0.0, 0.0)
-        mixing.augment_mixed(sample, rng_b, 0.7, 2.0)
-        assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
-
-    def test_negative_strength_rejected(self):
-        with pytest.raises(InputError):
-            mixing.augment_mixed(self.sample(), np.random.default_rng(4), -0.1, 0.0)
+    def test_the_blur_kernel_is_the_normalized_gaussian_of_blur_sigma(self):
+        kernel = mixing.BLUR_KERNEL
+        assert mixing.BLUR_SIGMA == 0.5 and kernel.size == 5   # radius ceil(3 sigma)
+        np.testing.assert_array_equal(kernel, kernel[::-1])
+        assert kernel.sum() == pytest.approx(1.0, abs=1e-15)
+        # a tap d pixels from the centre weighs exp(-d^2 / (2 sigma^2)) of it
+        np.testing.assert_allclose(kernel[3:] / kernel[2], np.exp([-2.0, -8.0]), rtol=1e-14)
 
     @staticmethod
-    def allocating_formula(image, brightness, contrast, jitter_strength, sigma):
+    def allocating_formula(image, brightness, contrast):
         """The jitter and blur as computed with np.clip of fresh arrays,
         np.pad edge padding and one product array per tap."""
-        if jitter_strength > 0:
-            image = np.clip((image - 0.5) * contrast + 0.5 + brightness, 0.0, 1.0)
-        if sigma > 0:
-            kernel = mixing._gaussian_kernel(sigma)
-            radius = kernel.size // 2
-            for axis in (1, 2):
-                padding = [(0, 0), (0, 0), (0, 0)]
-                padding[axis] = (radius, radius)
-                padded = np.pad(image, padding, mode="edge")
-                acc = np.zeros_like(image)
-                for k, weight in enumerate(kernel):
-                    sl = [slice(None)] * 3
-                    sl[axis] = slice(k, k + image.shape[axis])
-                    acc += weight * padded[tuple(sl)]
-                image = acc
+        image = np.clip((image - 0.5) * contrast + 0.5 + brightness, 0.0, 1.0)
+        radius = mixing.BLUR_KERNEL.size // 2
+        for axis in (1, 2):
+            padding = [(0, 0), (0, 0), (0, 0)]
+            padding[axis] = (radius, radius)
+            padded = np.pad(image, padding, mode="edge")
+            acc = np.zeros_like(image)
+            for k, weight in enumerate(mixing.BLUR_KERNEL):
+                sl = [slice(None)] * 3
+                sl[axis] = slice(k, k + image.shape[axis])
+                acc += weight * padded[tuple(sl)]
+            image = acc
         return image
 
-    @pytest.mark.parametrize("jitter_strength, sigma", [(0.2, 0.5), (0.0, 0.5),
-                                                        (0.7, 0.0), (0.3, 1.7)])
-    def test_image_is_bit_identical_to_the_allocating_formula(self, jitter_strength, sigma):
+    def test_image_is_bit_identical_to_the_allocating_formula(self):
         sample = self.sample(seed=11)
         sample = mixing.MixedSample(sample.image[:, :, :13].copy(), sample.labels[:, :13],
                                     sample.mask[:, :13])
         given = sample.image.copy()
         rng, draws = np.random.default_rng(5), np.random.default_rng(5)
-        out = mixing.augment_mixed(sample, rng, jitter_strength, sigma)
-        brightness = draws.uniform(-jitter_strength, jitter_strength)
-        contrast = 1.0 + draws.uniform(-jitter_strength, jitter_strength)
-        expected = self.allocating_formula(given, brightness, contrast, jitter_strength,
-                                           sigma)
+        out = mixing.augment_mixed(sample, rng)
+        brightness = draws.uniform(-mixing.JITTER_STRENGTH, mixing.JITTER_STRENGTH)
+        contrast = 1.0 + draws.uniform(-mixing.JITTER_STRENGTH, mixing.JITTER_STRENGTH)
+        expected = self.allocating_formula(given, brightness, contrast)
         assert out.image.dtype == expected.dtype and out.image.tobytes() == expected.tobytes()
         assert sample.image.tobytes() == given.tobytes()  # the input image is not written

@@ -21,7 +21,6 @@ from . import datagen as dg
 from . import model as md
 from . import trainer as tr
 from .datagen import DatasetBundle
-from .priors import make_embeddings
 from .errors import InputError, NumericError
 
 EXIT_OK = 0
@@ -95,6 +94,8 @@ def _train_config(args) -> tr.TrainConfig:
 
 def cmd_gen(args) -> int:
     dg.check_image_side("--size", args.size)
+    if args.size < dg.MIN_SCENE_SIDE:
+        raise InputError(f"--size must be at least {dg.MIN_SCENE_SIDE}, got {args.size}")
     for flag, count in (("--n-source", args.n_source), ("--n-target", args.n_target),
                         ("--n-test", args.n_test)):
         dg.check_count(flag, count)
@@ -233,7 +234,7 @@ def cmd_sweep(args) -> int:
     if clashing:
         raise InputError(f"--{label}s values {', '.join(clashing)} share a cell directory")
 
-    # a rejected grid, prior or dataset leaves no output directory behind
+    # a grid, or a cell that `train` would reject, leaves no output directory
     out = Path(args.out)
     bundle = DatasetBundle(args.data)
     jobs = []
@@ -242,7 +243,7 @@ def cmd_sweep(args) -> int:
             config = replace(base, **{label: value, "seed": seed})
             cell_dir = out / "cells" / f"{label}_{name}_seed{seed}"
             jobs.append((label, value, seed, config, str(args.data), str(cell_dir)))
-        make_embeddings(config.prior, dim=config.prior_dim)  # parses a vector file
+        tr.prepare_run(config, bundle)
     workers = min(worker_cap(), len(jobs))
     out.mkdir(parents=True, exist_ok=True)
 

@@ -24,8 +24,9 @@ from .model import INPUT_SIZE_MULTIPLE
 ROAD, SIDEWALK, SKY, BUILDING, BIKE, MOTORBIKE = range(NUM_CLASSES)
 
 MANIFEST_NAME = "manifest.txt"
+MANIFEST_FORMAT = "daplab-benchmark-v2"
 RUN_MANIFEST_NAME = "run_manifest.txt"
-_SPLITS = ("source", "target_train", "target_test")
+MIN_SCENE_SIDE = 16       # the smallest scene height or width generate_scene renders
 # the label values a label map may hold, by uint8 value: the class ids and IGNORE_ID
 _LABEL_VALUES = np.zeros(256, dtype=bool)
 _LABEL_VALUES[:NUM_CLASSES] = _LABEL_VALUES[IGNORE_ID] = True
@@ -116,8 +117,8 @@ def _smooth_jitter(rng: np.random.Generator, width: int, amplitude: int) -> np.n
 def generate_scene(spec: DomainSpec, h: int, w: int, rng: np.random.Generator) -> LabeledImage:
     """Render one scene. Labels are exact by construction; the image is the
     palette lookup followed by hue rotation and additive texture noise."""
-    if h < 16 or w < 16:
-        raise InputError("scenes need h, w >= 16")
+    if h < MIN_SCENE_SIDE or w < MIN_SCENE_SIDE:
+        raise InputError(f"scenes need h, w >= {MIN_SCENE_SIDE}")
     freq = np.asarray(spec.class_frequency, dtype=np.float64)
     total = h * w
 
@@ -276,24 +277,17 @@ def _spec_from_entries(entries: dict, prefix: str) -> DomainSpec:
     )
 
 
-def _sha256(*chunks: bytes) -> str:
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-    return digest.hexdigest()
-
-
-def item_paths(root, split: str, i: int) -> tuple:
-    """(image, label) paths of item i of a split; target_train keeps its
-    labels sealed in a hidden/ subdirectory the trainer never reads."""
-    folder = Path(root) / split
-    labels = folder / "hidden" if split == "target_train" else folder
-    return folder / f"img_{i:03d}.ppm", labels / f"lab_{i:03d}.pgm"
+def item_files(split: str, i: int) -> tuple:
+    """(image, label) names of item i of a split: paths under the dataset
+    root, as the manifest's `file.<name>` keys spell them. target_train keeps
+    its labels sealed in a hidden/ subdirectory the trainer never reads."""
+    labels = f"{split}/hidden" if split == "target_train" else split
+    return f"{split}/img_{i:03d}.ppm", f"{labels}/lab_{i:03d}.pgm"
 
 
 def _item_indices(root, split: str) -> set:
     """Indices of the item files (images or labels) present in a split."""
-    image_dir, label_dir = (path.parent for path in item_paths(root, split, 0))
+    image_dir, label_dir = ((root / name).parent for name in item_files(split, 0))
     stems = [path.stem for path in (*image_dir.glob("img_*.ppm"),
                                     *label_dir.glob("lab_*.pgm"))]
     return {int(stem[4:]) for stem in stems if stem[4:].isdecimal()}
@@ -303,12 +297,13 @@ def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
                    n_source: int, n_target: int, n_test: int,
                    out_dir, height: int = 64, width: int = 64) -> Path:
     """Write a three-split benchmark under `out_dir` and return the manifest
-    path. Test scene i is target scene n_target + i. Regenerating from the
-    manifest reproduces every file byte for byte. Item files that an earlier,
-    larger benchmark left in `out_dir` are removed; no other file is."""
+    path, which gives each image and label file's sha256 as `file.<name>`.
+    Test scene i is target scene n_target + i. Regenerating from the manifest
+    reproduces every file byte for byte. Item files that an earlier, larger
+    benchmark left in `out_dir` are removed; no other file is."""
     root = Path(out_dir)
     lines = [
-        "format=daplab-benchmark-v1",
+        f"format={MANIFEST_FORMAT}",
         f"height={height}",
         f"width={width}",
         f"n_source={n_source}",
@@ -317,26 +312,21 @@ def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
     ]
     lines += _spec_to_lines("source", source_spec)
     lines += _spec_to_lines("target", target_spec)
-    split_checksums = []
     for split, spec, count, first_scene in (("source", source_spec, n_source, 0),
                                             ("target_train", target_spec, n_target, 0),
                                             ("target_test", target_spec, n_test, n_target)):
-        for path in item_paths(root, split, 0):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        digests = []
+        for name in item_files(split, 0):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
         for i in range(count):
             scene = generate_scene(spec, height, width, scene_rng(spec, first_scene + i))
-            image_path, label_path = item_paths(root, split, i)
-            digests.append(_sha256(write_ppm(image_path, scene.image),
-                                   write_pgm(label_path, scene.labels)))
-            lines.append(f"item.{split}/{i:03d}={digests[-1]}")
+            image, label = item_files(split, i)
+            for name, data in ((image, write_ppm(root / image, scene.image)),
+                               (label, write_pgm(root / label, scene.labels))):
+                lines.append(f"file.{name}={hashlib.sha256(data).hexdigest()}")
         for i in _item_indices(root, split):
             if i >= count:
-                for path in item_paths(root, split, i):
-                    path.unlink(missing_ok=True)
-        split_checksums.append(f"split_checksum.{split}="
-                               + _sha256(*(d.encode() for d in digests)))
-    lines += split_checksums
+                for name in item_files(split, i):
+                    (root / name).unlink(missing_ok=True)
     manifest = root / MANIFEST_NAME
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
@@ -404,10 +394,8 @@ class DatasetBundle:
 
     Trainer-facing methods are source() and target_image(); hidden target
     labels are reachable only through target_hidden_labels(), the
-    evaluation-only accessor. Every pixmap must be the manifest's height x
-    width. source() and test() also check each item against its manifest
-    digest on first read. Target-train images have no digest check: their
-    digest covers the sealed label too, which training must not read.
+    evaluation-only accessor. Every pixmap passes one check on its first
+    read (_pixmap), sealed labels and target-train images included.
 
     Each item file is read once. The bundle keeps an image as its 8-bit
     pixels, 1 byte per channel-pixel, and hands out a new float64 image
@@ -420,14 +408,17 @@ class DatasetBundle:
         manifest = self.root / MANIFEST_NAME
         self.entries = parse_manifest(manifest)
         try:
+            form = self.entries["format"]
             self.n_source, self.n_target, self.n_test, self.height, self.width = (
                 int(self.entries[key])
                 for key in ("n_source", "n_target", "n_test", "height", "width"))
-            self.dataset_checksum()
         except KeyError as missing:
             raise InputError(f"{manifest}: missing key {missing.args[0]!r}") from None
         except ValueError as bad:
             raise InputError(f"{manifest}: {bad}") from None
+        if form != MANIFEST_FORMAT:
+            raise InputError(f"{manifest}: format {form!r} is not {MANIFEST_FORMAT}; "
+                             "regenerate the dataset with `daplab gen`")
         for key in ("n_source", "n_target", "n_test"):
             check_count(f"{manifest}: {key}", getattr(self, key))
         check_image_side(f"{manifest}: height", self.height)
@@ -435,56 +426,55 @@ class DatasetBundle:
         self._cache: dict = {}
 
     def dataset_checksum(self) -> str:
-        return _sha256(*(self.entries[f"split_checksum.{s}"].encode() for s in _SPLITS))
+        """The sha256 of the manifest's file digests, in manifest order."""
+        return hashlib.sha256("".join(v for k, v in self.entries.items()
+                                      if k.startswith("file.")).encode()).hexdigest()
 
     def _cached(self, key, loader):
         if key not in self._cache:
             self._cache[key] = loader()
         return self._cache[key]
 
-    def _pixmap(self, read, path, digest=None) -> np.ndarray:
-        """read(path, digest), made read-only; rejected unless it is
-        height x width."""
+    def _pixmap(self, read, name: str) -> np.ndarray:
+        """The pixmap `name` under the root, read with `read` (read_ppm or
+        read_pgm) and made read-only, once it passes the one check: it is
+        height x width, its bytes (the bytes kept) match the manifest's
+        `file.<name>` digest, and a label map holds only class ids and
+        IGNORE_ID."""
+        path = self.root / name
+        digest = hashlib.sha256()
         pixels = read(path, digest)
         if pixels.shape[-2:] != (self.height, self.width):
             raise InputError(f"{path}: pixmap is {pixels.shape[-2]}x{pixels.shape[-1]}, but "
                              f"{self.root / MANIFEST_NAME} gives {self.height}x{self.width}")
+        key = "file." + name
+        if digest.hexdigest() != self.entries.get(key):
+            raise InputError(f"{path}: does not match {key} in {self.root / MANIFEST_NAME}")
+        if pixels.ndim == 2 and not _LABEL_VALUES[pixels].all():  # a label map
+            raise InputError(f"{path}: label id {pixels[~_LABEL_VALUES[pixels]][0]} is "
+                             f"neither a class id below {NUM_CLASSES} nor {IGNORE_ID}")
         pixels.flags.writeable = False
         return pixels
-
-    def _labeled(self, split: str, i: int) -> tuple:
-        """The (pixels, labels) of item i of a labeled split, checked against
-        the manifest's item digest, with every label a class id or IGNORE_ID;
-        each file is read once, and the bytes hashed are the bytes kept."""
-        image_path, label_path = item_paths(self.root, split, i)
-        digest = hashlib.sha256()
-        pixels = self._pixmap(read_ppm, image_path, digest)
-        labels = self._pixmap(read_pgm, label_path, digest)
-        key = f"item.{split}/{i:03d}"
-        if digest.hexdigest() != self.entries.get(key):
-            raise InputError(f"{image_path}, {label_path}: do not match {key} in "
-                             f"{self.root / MANIFEST_NAME}")
-        outside = labels[~_LABEL_VALUES[labels]]
-        if outside.size:
-            raise InputError(f"{label_path}: label id {outside[0]} is neither a class id "
-                             f"below {NUM_CLASSES} nor {IGNORE_ID}")
-        return pixels, labels
 
     def _item(self, split: str, i: int):
         """The kept bytes of item i of `split`, named as its accessor: the
         (pixels, labels) of a "source" or "test" item, the pixels of a
-        "target_image"."""
-        if split == "target_image":
-            return self._cached((split, i), lambda: self._pixmap(
-                read_ppm, item_paths(self.root, "target_train", i)[0]))
-        return self._cached((split, i), lambda: self._labeled(
-            "target_test" if split == "test" else split, i))
+        "target_image", the labels of a "target_hidden_labels"."""
+        def load():
+            if split == "target_image":
+                return self._pixmap(read_ppm, item_files("target_train", i)[0])
+            if split == "target_hidden_labels":
+                return self._pixmap(read_pgm, item_files("target_train", i)[1])
+            image, label = item_files("target_test" if split == "test" else split, i)
+            return self._pixmap(read_ppm, image), self._pixmap(read_pgm, label)
+        return self._cached((split, i), load)
 
     def check_split(self, split: str) -> None:
-        """Read and check every item of `split` ("source", "target_image" or
-        "test"), keeping its bytes but decoding no image."""
+        """Read and check every item of `split` ("source", "target_image",
+        "target_hidden_labels" or "test"), keeping its bytes but decoding no
+        image."""
         count = {"source": self.n_source, "target_image": self.n_target,
-                 "test": self.n_test}[split]
+                 "target_hidden_labels": self.n_target, "test": self.n_test}[split]
         for i in range(count):
             self._item(split, i)
 
@@ -497,7 +487,7 @@ class DatasetBundle:
 
     def target_hidden_labels(self, i: int) -> np.ndarray:
         """Evaluation-only accessor for sealed target-train labels."""
-        return self._pixmap(read_pgm, item_paths(self.root, "target_train", i)[1])
+        return self._item("target_hidden_labels", i)
 
     def test(self, i: int) -> LabeledImage:
         pixels, labels = self._item("test", i)

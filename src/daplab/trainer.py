@@ -354,6 +354,20 @@ def _latest_state(checkpoint_dir: Path):
     return max(checkpoint_dir.glob("state_*.ckpt"), default=None)
 
 
+def prepare_run(config: TrainConfig, bundle: DatasetBundle) -> Trainer:
+    """The run's Trainer, built once every input check has passed, before
+    anything is written: every source, target-train and test item is read
+    and checked, and with pseudo_acc_diagnostic every sealed label too."""
+    if bundle.n_test < 1:
+        raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
+                         "images to evaluate")
+    trainer = Trainer(config, bundle)
+    for split in ("source", "target_image", "test") + (
+            ("target_hidden_labels",) if config.pseudo_acc_diagnostic else ()):
+        bundle.check_split(split)
+    return trainer
+
+
 def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     """Train for config.steps, checkpointing every checkpoint_every steps,
     then evaluate the final and best-on-heldout students on the target test
@@ -365,19 +379,13 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
     those states. The train state is the run's one commit point: each
     checkpoint writes it last, and it records the best held-out step and
     score, so a killed run continues without reading any other file for
-    them. Every source, target-train and test item is read and checked
-    before the first step, and a rejected run leaves no directory behind.
+    them. prepare_run checks the inputs before the first step, and a
+    rejected run leaves no directory behind.
     The bundle keeps the items' bytes; each evaluation decodes its split
     afresh, one image at a time. When the best held-out step is the last,
     the final student's test metrics serve as the best's too."""
     t_setup = time.perf_counter()
-    if bundle.n_test < 1:
-        raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
-                         "images to evaluate")
-    trainer = Trainer(config, bundle)
-    # read, and so check, every item before the run directory exists
-    for split in ("source", "target_image", "test"):
-        bundle.check_split(split)
+    trainer = prepare_run(config, bundle)
 
     out = Path(out_dir)
     config_path = out / "config.txt"

@@ -62,15 +62,20 @@ def run_files(out):
             if p.is_file() and p.name != "run_manifest.txt"}
 
 
-def reseal_item(root, split, i):
-    """Record item i's current image and label bytes as its manifest digest,
-    as `gen` would have written it."""
-    digest = hashlib.sha256((root / split / f"img_{i:03d}.ppm").read_bytes()
-                            + (root / split / f"lab_{i:03d}.pgm").read_bytes()).hexdigest()
-    key = f"item.{split}/{i:03d}="
+def reseal_file(root, name):
+    """Record the current bytes of the dataset file `name` as its manifest
+    digest, as `gen` would have written it."""
+    digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+    key = f"file.{name}="
     manifest = root / "manifest.txt"
     manifest.write_text("".join(key + digest + "\n" if line.startswith(key) else line
                                 for line in manifest.read_text().splitlines(True)))
+
+
+def flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
 
 
 def assert_manifest_lists_every_file(out, command):
@@ -86,7 +91,10 @@ def assert_manifest_lists_every_file(out, command):
 class TestGen:
     def test_manifest_has_all_items(self, data_dir):
         entries = dg.parse_manifest(data_dir / "manifest.txt")
-        assert sum(1 for k in entries if k.startswith("item.")) == 15
+        assert entries["format"] == "daplab-benchmark-v2"
+        # one image and one label file per item, sealed labels included
+        assert sum(1 for k in entries if k.startswith("file.")) == 30
+        assert "file.target_train/hidden/lab_005.pgm" in entries
         assert_manifest_lists_every_file(data_dir, "gen")
 
     def test_missing_out_is_usage_error(self, capsys):
@@ -253,14 +261,13 @@ class TestTrain:
         assert calls == []
 
     @pytest.mark.parametrize("path, command", [("source/img_005.ppm", "train"),
+                                               ("target_train/img_003.ppm", "train"),
                                                ("target_test/lab_000.pgm", "eval")])
     def test_changed_dataset_item_exits_3_naming_file_and_manifest(
             self, data_dir, tmp_path, capsys, path, command):
         broken = tmp_path / "broken"
         shutil.copytree(data_dir, broken)
-        data = bytearray((broken / path).read_bytes())
-        data[-1] ^= 1
-        (broken / path).write_bytes(bytes(data))
+        flip_last_byte(broken / path)
         out = tmp_path / "out"
         if command == "train":
             # the one held-out image is source 5, scored before the first step
@@ -271,9 +278,8 @@ class TestTrain:
             args = ["eval", "--ckpt", str(ckpt), "--data", str(broken), "--out", str(out)]
         assert cli.main(args) == 3
         err = capsys.readouterr().err
-        assert path in err and str(broken / "manifest.txt") in err
-        split, name = path.split("/")
-        assert f"item.{split}/{name[4:7]}" in err
+        assert str(broken / path) in err and str(broken / "manifest.txt") in err
+        assert f"file.{path}" in err
         assert not out.exists()
 
     def test_bad_data_dir_exits_3(self, tmp_path, capsys):
@@ -298,7 +304,7 @@ class TestEval:
         for i in range(bundle.n_test):
             prediction = analysis.predict_labels(state, bundle.test(i).image)
             dg.write_pgm(cheat / "target_test" / f"lab_{i:03d}.pgm", prediction)
-            reseal_item(cheat, "target_test", i)
+            reseal_file(cheat, f"target_test/lab_{i:03d}.pgm")
 
         result_dir = tmp_path / "eval_oracle"
         assert cli.main(["eval", "--ckpt", str(out / "student_final.ckpt"),
@@ -319,7 +325,7 @@ class TestEval:
                          "--split", split, "--out", str(tmp_path / "e")]) == 0
         assert len(decodes) == count
 
-    def test_eval_of_a_tampered_item_exits_3_naming_its_files_before_any_output(
+    def test_eval_of_a_tampered_label_exits_3_naming_it_before_any_output(
             self, data_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -333,7 +339,7 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                          "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert str(label) in err and str(data / "target_test" / "img_002.ppm") in err
+        assert f"{label}: does not match file.target_test/lab_002.pgm" in err
         assert not out.exists()
 
     def test_eval_twice_identical_outputs(self, data_dir, tmp_path):
@@ -612,7 +618,7 @@ class TestSweep:
         out = tmp_path / "sweep_bad_base"
         code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
                          "--alphas", "0,1", "--seeds", "1", "--steps", "2",
-                         "--config", str(config)])
+                         "--heldout-source", "0", "--config", str(config)])
         assert code == 3
         assert "bad.txt:3: expected 2 values, got 3" in capsys.readouterr().err
         assert not out.exists()
@@ -626,7 +632,8 @@ class TestSweep:
         monkeypatch.setattr(tr, "run", failing)
         out = tmp_path / "sweep_failed"
         assert cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
-                         "--alphas", "1.0,0.5", "--seeds", "1", "--steps", "2"]) == 0
+                         "--alphas", "1.0,0.5", "--seeds", "1", "--steps", "2",
+                         "--heldout-source", "0"]) == 0
         for name in ("sweep_cells.csv", "sweep_table.csv"):
             with (out / name).open(newline="") as f:
                 header, *rows = csv.reader(f)
@@ -686,9 +693,28 @@ class TestSweep:
         monkeypatch.setenv("DAP_LAB_THREADS", "0")
         out = tmp_path / "sweep"
         code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
-                         "--alphas", "1.0", "--seeds", "1", "--steps", "2"])
+                         "--alphas", "1.0", "--seeds", "1", "--steps", "2",
+                         "--heldout-source", "0"])
         assert code == 3
         assert "DAP_LAB_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each input makes `train` exit 3 without a run directory
+    @pytest.mark.parametrize("tampered, heldout, named", [
+        ("source/img_003.ppm", "0", "file.source/img_003.ppm"),
+        (None, "6", "heldout_source 6 leaves no training images")],
+        ids=["tampered-item", "heldout-covers-source"])
+    def test_a_sweep_exits_3_before_creating_out_where_train_would(
+            self, data_dir, tmp_path, capsys, tampered, heldout, named):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        if tampered:
+            flip_last_byte(data / tampered)
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--data", str(data), "--out", str(out), "--alphas", "0,1",
+                         "--seeds", "2", "--steps", "5", "--heldout-source", heldout])
+        assert code == 3
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_both_axes_rejected(self, data_dir, tmp_path, capsys):
@@ -704,6 +730,12 @@ def _missing_item(rel):
         (data / rel).unlink()
         return fast_train_args(data, tmp_path / "run"), [str(data / rel)]
     return damage
+
+
+def _missing_sealed_label_with_pseudo_acc(data, tmp_path):
+    label = data / "target_train" / "hidden" / "lab_005.pgm"
+    label.unlink()
+    return fast_train_args(data, tmp_path / "run", ["--pseudo-acc"]), [str(label)]
 
 
 def _config_not_utf8(data, tmp_path):
@@ -751,6 +783,7 @@ def _out_is_a_file(command):
 UNREADABLE_INPUTS = {
     "missing-target-image": _missing_item("target_train/img_002.ppm"),
     "missing-test-image": _missing_item("target_test/img_000.ppm"),
+    "missing-sealed-label-with-pseudo-acc": _missing_sealed_label_with_pseudo_acc,
     "config-not-utf8": _config_not_utf8,
     "manifest-not-utf8": _manifest_not_utf8,
     "vectors-not-utf8": _vectors_not_utf8,
@@ -805,7 +838,7 @@ class TestMalformedInput:
         raw = bytearray(label.read_bytes())
         raw[-1] = 9        # between the class ids and the ignore id
         label.write_bytes(bytes(raw))
-        reseal_item(data, split, i)
+        reseal_file(data, f"{split}/lab_{i:03d}.pgm")
         out = tmp_path / "out"
         if command == "train":
             args = fast_train_args(data, out)
@@ -1004,4 +1037,26 @@ class TestMalformedInput:
         code = cli.main(["gen", "--out", str(out), "--size", "30"])
         assert code == 3
         assert "--size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_size_below_the_smallest_scene_exits_3_before_writing(self, tmp_path,
+                                                                      capsys):
+        out = tmp_path / "data"
+        code = cli.main(["gen", "--out", str(out), "--size", "8"])
+        assert code == 3
+        assert "--size must be at least 16, got 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["daplab-benchmark-v1", "daplab-benchmark-v3"])
+    def test_dataset_manifest_of_another_format_exits_3_naming_it(self, data_dir, tmp_path,
+                                                                  capsys, form):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        manifest = broken / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("format=daplab-benchmark-v2",
+                                                         f"format={form}"))
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(broken, out)) == 3
+        err = capsys.readouterr().err
+        assert f"format '{form}'" in err and "daplab gen" in err
         assert not out.exists()

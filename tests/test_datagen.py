@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -126,15 +127,20 @@ class TestPixmapIO:
 
 
 class TestMakeBenchmark:
-    def test_manifest_lists_all_items_with_split_checksums(self, tmp_path):
+    def test_manifest_gives_every_file_one_digest(self, tmp_path):
         src, tgt = dg.preset_specs("gap-default", seed=7)
-        manifest = dg.make_benchmark(src, tgt, 64, 64, 16, tmp_path / "data",
-                                     height=32, width=32)
+        root = tmp_path / "data"
+        manifest = dg.make_benchmark(src, tgt, 64, 64, 16, root, height=32, width=32)
         entries = dg.parse_manifest(manifest)
-        items = [k for k in entries if k.startswith("item.")]
-        assert len(items) == 144
-        for split in ("source", "target_train", "target_test"):
-            assert f"split_checksum.{split}" in entries
+        assert entries["format"] == "daplab-benchmark-v2"
+        files = {k[len("file."):]: v for k, v in entries.items() if k.startswith("file.")}
+        on_disk = {p.relative_to(root).as_posix() for p in root.rglob("*")
+                   if p.is_file() and p != manifest}
+        assert len(files) == 288 and files.keys() == on_disk
+        assert "target_train/hidden/lab_063.pgm" in files
+        for name, digest in files.items():
+            assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, name
+        assert not [k for k in entries if k.startswith(("item.", "split_checksum."))]
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         src, tgt = dg.preset_specs("gap-default", seed=9)
@@ -151,8 +157,8 @@ class TestMakeBenchmark:
         m1 = dg.make_benchmark(src, tgt, 3, 3, 2, tmp_path / "a", 32, 32)
         m2 = dg.make_benchmark(src, tgt, 3, 3, 2, tmp_path / "b", 32, 32)
         e1, e2 = dg.parse_manifest(m1), dg.parse_manifest(m2)
-        assert {k: v for k, v in e1.items() if k.startswith(("item.", "split_"))} \
-            == {k: v for k, v in e2.items() if k.startswith(("item.", "split_"))}
+        digests = [{k: v for k, v in e.items() if k.startswith("file.")} for e in (e1, e2)]
+        assert len(digests[0]) == 16 and digests[0] == digests[1]
 
     def test_bundle_accessors(self, tmp_path):
         src, tgt = dg.preset_specs("gap-default", seed=15)
@@ -232,7 +238,8 @@ class TestMakeBenchmark:
         data = bytearray(label.read_bytes())
         data[-1] ^= 1
         label.write_bytes(bytes(data))
-        with pytest.raises(InputError, match=r"do not match item\.source/000 in"):
+        with pytest.raises(InputError, match=r"lab_000.pgm: does not match "
+                                             r"file\.source/lab_000\.pgm in"):
             bundle.source(0)
         assert reads["source/img_000.ppm"] == reads["source/lab_000.pgm"] == 1
 
@@ -248,8 +255,8 @@ class TestMakeBenchmark:
             np.testing.assert_array_equal(bundle.test(i).labels, expected.labels)
 
         entries = dg.parse_manifest(manifest)
-        train = {v for k, v in entries.items() if k.startswith("item.target_train/")}
-        test = {v for k, v in entries.items() if k.startswith("item.target_test/")}
+        train = {v for k, v in entries.items() if k.startswith("file.target_train/img_")}
+        test = {v for k, v in entries.items() if k.startswith("file.target_test/img_")}
         assert len(train) == 4 and len(test) == 3
         assert not train & test
 

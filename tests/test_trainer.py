@@ -3,6 +3,7 @@ import math
 import os
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -844,6 +845,21 @@ class TripwireBundle(DatasetBundle):
         return super().target_hidden_labels(i)
 
 
+def count_sealed_label_reads(monkeypatch) -> Counter:
+    """Count datagen.read_input calls on each file under target_train/hidden/,
+    whatever reads it."""
+    reads = Counter()
+    read_input = dg.read_input
+
+    def counting(path, what):
+        if Path(path).parent.name == "hidden":
+            reads[Path(path).name] += 1
+        return read_input(path, what)
+
+    monkeypatch.setattr(dg, "read_input", counting)
+    return reads
+
+
 class TestHiddenLabelTripwire:
     def test_default_run_never_touches_hidden_labels(self, bundle, tmp_path):
         wired = TripwireBundle(bundle.root)
@@ -858,6 +874,19 @@ class TestHiddenLabelTripwire:
         lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
         accs = [float(line.split(",")[4]) for line in lines]
         assert all(0.0 <= a <= 1.0 for a in accs)
+
+    def test_default_run_reads_no_sealed_label_file(self, bundle, tmp_path, monkeypatch):
+        reads = count_sealed_label_reads(monkeypatch)
+        tr.run(small_config(steps=8, checkpoint_every=4), DatasetBundle(bundle.root),
+               tmp_path / "run")
+        assert reads == {}
+
+    def test_diagnostic_run_reads_each_sealed_label_once(self, bundle, tmp_path,
+                                                         monkeypatch):
+        reads = count_sealed_label_reads(monkeypatch)
+        config = small_config(steps=12, pseudo_acc_diagnostic=True)
+        tr.run(config, DatasetBundle(bundle.root), tmp_path / "run")
+        assert reads == {f"lab_{i:03d}.pgm": 1 for i in range(bundle.n_target)}
 
 
 # Road, sidewalk, sky and building cover at least 1033 pixels of every

@@ -93,9 +93,7 @@ def _train_config(args) -> tr.TrainConfig:
 
 
 def cmd_gen(args) -> int:
-    dg.check_image_side("--size", args.size)
-    if args.size < dg.MIN_SCENE_SIDE:
-        raise InputError(f"--size must be at least {dg.MIN_SCENE_SIDE}, got {args.size}")
+    dg.check_scene_side("--size", args.size)
     for flag, count in (("--n-source", args.n_source), ("--n-target", args.n_target),
                         ("--n-test", args.n_test)):
         dg.check_count(flag, count)

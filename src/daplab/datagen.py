@@ -300,7 +300,12 @@ def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
     path, which gives each image and label file's sha256 as `file.<name>`.
     Test scene i is target scene n_target + i. Regenerating from the manifest
     reproduces every file byte for byte. Item files that an earlier, larger
-    benchmark left in `out_dir` are removed; no other file is."""
+    benchmark left in `out_dir` are removed; no other file is. A bad side or
+    count raises InputError before anything is written."""
+    for name, side in (("height", height), ("width", width)):
+        check_scene_side(name, side)
+    for name, count in (("n_source", n_source), ("n_target", n_target), ("n_test", n_test)):
+        check_count(name, count)
     root = Path(out_dir)
     lines = [
         f"format={MANIFEST_FORMAT}",
@@ -381,6 +386,14 @@ def check_image_side(name: str, size: int) -> None:
     if size < INPUT_SIZE_MULTIPLE or size % INPUT_SIZE_MULTIPLE:
         raise InputError(f"{name} must be a positive multiple of "
                          f"{INPUT_SIZE_MULTIPLE}, got {size}")
+
+
+def check_scene_side(name: str, size: int) -> None:
+    """Reject a scene side that generate_scene cannot render or the model
+    cannot take."""
+    check_image_side(name, size)
+    if size < MIN_SCENE_SIDE:
+        raise InputError(f"{name} must be at least {MIN_SCENE_SIDE}, got {size}")
 
 
 def check_count(name: str, count: int) -> None:

@@ -124,16 +124,28 @@ def _as_kernel_dtype(x: Tensor, kernel: Tensor) -> Tensor:
     return Tensor(x.data.astype(kernel.data.dtype))
 
 
-def project_prior(state: ModelState, embedding_map: Tensor) -> Tensor:
-    """Map a [N,D,h,w] embedding map into the common space, cast to the
-    projector's dtype."""
-    d = embedding_map.data.shape[1]
+def class_table(vectors: np.ndarray, dtype) -> Tensor:
+    """[C,D] class vectors as the constant [1,D,C,1] map of `dtype` that
+    project_anchors takes."""
+    return Tensor(vectors.T[None, :, :, None].astype(dtype))
+
+
+def project_anchors(state: ModelState, table: Tensor) -> Tensor:
+    """Map the C class vectors of a [1,D,C,1] class `table` into the common
+    space, as a [P,C,1,1] kernel of the projector's dtype: the class
+    anchors. The prior projector and the resize are both linear, so a 1x1
+    conv of an [N,C,h,w] grid of class fractions with the anchors is the
+    projected prior map of those fractions, and no D-channel map is made.
+    The projector's parameter is the conv's kernel, so its gradient flows
+    back through the anchors."""
+    d = table.data.shape[1]
     expected = state.params["gpr.conv"].data.shape[1]
     if d != expected:
         raise DimensionError(
             f"embedding map has {d} channels but the projector expects {expected}")
     kernel = state.params["gpr.conv"]
-    return tc.conv2d(_as_kernel_dtype(embedding_map, kernel), kernel)
+    anchors = tc.conv2d(_as_kernel_dtype(table, kernel), kernel)  # [1,P,C,1]
+    return tc.reshape(anchors, (anchors.shape[1], anchors.shape[2], 1, 1))
 
 
 def ema_update(teacher: ModelState, student: ModelState, decay: float) -> None:

@@ -3,10 +3,12 @@
 An EmbeddingSet assigns every class one frozen vector that carries no
 information about either visual domain. `proj` pastes each pixel's class
 vector into a dense map and `downsample_embedding` shrinks a map to feature
-resolution. The training path pastes the one-hot class indicators, shrinks
-them to each feature cell's class fractions, and only then contracts them
-with the class table, so it never builds a full-resolution map as wide
-as the vectors. No gradient ever reaches the vectors.
+resolution. The training path pastes the one-hot class indicators and
+shrinks them to each feature cell's class fractions. Each step projects the
+class table once into the common space (`model.project_anchors`, one anchor
+per class) and blends the anchors by those fractions, so it builds no map
+as wide as the vectors, at any resolution. No gradient ever reaches the
+vectors.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ def proj(labels: np.ndarray, embeddings: EmbeddingSet) -> Tensor:
 
     Ignore pixels carry the zero vector. The result is a constant: no
     gradient flows into the embedding table. Training calls this with the
-    one-hot set only and contracts with the class table after resizing
-    (`trainer.dap_term`); any set works here.
+    one-hot set only: `trainer.dap_term` resizes the indicators to class
+    fractions and blends the projected class anchors by them. Any set works
+    here.
     """
     labels = np.asarray(labels)
     if labels.ndim == 2:

@@ -2,8 +2,8 @@
 differentiation.
 
 Deliberately small: only the kernels a tiny segmentation network needs
-(convolution, ReLU, bilinear/nearest resizing, the two loss reductions)
-plus an SGD optimizer with Nesterov momentum and polynomial decay.
+(convolution, ReLU, bilinear/nearest resizing, `reshape`, the two loss
+reductions) plus an SGD optimizer with Nesterov momentum and polynomial decay.
 Each op computes in its inputs' dtype, and so does its backward: float32
 inputs give float32 outputs and gradients, float64 inputs float64 ones.
 The scalar reductions (`total` and the two losses) are the exception:
@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -292,6 +293,21 @@ def take_batch(x: Tensor, index: int) -> Tensor:
         return (full,)
 
     return _emit("take_batch", (x,), x.data[index:index + 1].copy(), back)
+
+
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    """`x`'s elements, in row-major order, as an array of `shape`: a view
+    of x's array, and its gradient a view of the output's."""
+    shape = tuple(int(s) for s in shape)
+    if any(s < 0 for s in shape) or math.prod(shape) != x.data.size:
+        raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
+
+    in_shape = x.data.shape
+
+    def back(g):
+        return (g.reshape(in_shape),)
+
+    return _emit("reshape", (x,), x.data.reshape(shape), back)
 
 
 # ---------------------------------------------------------------------------

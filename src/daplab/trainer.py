@@ -20,8 +20,7 @@ from . import analysis
 from . import mixing
 from . import model as md
 from . import tensor as tc
-from .priors import (PRIOR_KINDS, EmbeddingSet, build_one_hot, downsample_embedding,
-                     make_embeddings, proj)
+from .priors import PRIOR_KINDS, build_one_hot, downsample_embedding, make_embeddings, proj
 from .tensor import Tensor
 
 
@@ -143,23 +142,24 @@ def pseudo_label(teacher: md.ModelState, target_image: np.ndarray) -> np.ndarray
     return analysis.predict_labels(teacher, target_image)
 
 
-def dap_term(student: md.ModelState, projected: Tensor, labels: np.ndarray,
-             embeddings: EmbeddingSet, interp: str) -> Tensor:
+def dap_term(anchors: Tensor, projected: Tensor, labels: np.ndarray,
+             interp: str) -> Tensor:
     """Distance between the projected visual features [N,P,h,w] and the
-    projected embedding map built from the [N,H,W] `labels` (an [H,W] map
-    when N is 1), down-sampled to the features' h x w: the mean over all N
-    images' cells. Gradients reach the backbone and both projectors; the
-    embedding vectors stay frozen.
+    projected prior map built from the [N,H,W] `labels` (an [H,W] map when
+    N is 1), down-sampled to the features' h x w: the mean over all N
+    images' cells. `anchors` is the [P,C,1,1] kernel of projected class
+    vectors (`model.project_anchors`). Gradients reach the backbone and,
+    through the anchors, both projectors; the embedding vectors stay frozen.
 
-    Both resize modes are linear per channel, so the map is built by
-    resizing the one-hot class indicators to h x w first (each cell's class
-    fractions; ignored pixels count for no class) and then contracting them
-    with the class table: no full-size D-channel map is made."""
+    Both resize modes are linear per channel and the projector is linear,
+    so the map is built by resizing the one-hot class indicators to h x w
+    first (each cell's class fractions; ignored pixels count for no class)
+    and then contracting them with the anchors in one 1x1 conv: no map as
+    wide as the class vectors is made."""
     fh, fw = projected.shape[2:]
     fractions = downsample_embedding(proj(labels, build_one_hot()), fh, fw, interp).data
-    n = fractions.shape[0]
-    emb = (embeddings.vectors.T @ fractions.reshape(n, -1, fh * fw)).reshape(n, -1, fh, fw)
-    return tc.sum_squared_error(projected, md.project_prior(student, Tensor(emb)))
+    prior_map = tc.conv2d(Tensor(fractions.astype(anchors.data.dtype, copy=False)), anchors)
+    return tc.sum_squared_error(projected, prior_map)
 
 
 def make_optimizer(student: md.ModelState, lr: float) -> tc.SGD:
@@ -229,6 +229,9 @@ class Trainer:
                                           seed=config.seed + 1_000_000_007)
         self.student = md.to_float32(
             md.init_student(config.seed, prior_dim=self.embeddings.dim))
+        # each step projects the table once into the class anchors
+        self.class_table = md.class_table(self.embeddings.vectors,
+                                          self.student.params["gpr.conv"].data.dtype)
         self.teacher = md.make_teacher(self.student)
         self.optimizer = make_optimizer(self.student, LR)
 
@@ -272,8 +275,8 @@ class Trainer:
         if cfg.alpha > 0.0:
             # one term over the batch; its mean over both images' cells,
             # doubled, is the sum of the two images' means
-            dap_mean = dap_term(self.student, out.projected_features, labels,
-                                self.embeddings, cfg.interp)
+            anchors = md.project_anchors(self.student, self.class_table)
+            dap_mean = dap_term(anchors, out.projected_features, labels, cfg.interp)
             loss_overall = tc.add(loss_seg, tc.scale(dap_mean, 2 * cfg.alpha))
             l_dap = 2 * dap_mean.item()
         else:

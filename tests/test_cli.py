@@ -997,14 +997,18 @@ class TestMalformedInput:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("counts, size, key", [((3, 3, 2), 30, "height"),
-                                                   ((3, 0, 2), 32, "n_target"),
-                                                   ((3, 3, 0), 32, "n_test")],
+    @pytest.mark.parametrize("counts, height, key", [((3, 3, 2), 30, "height"),
+                                                     ((3, 0, 2), 32, "n_target"),
+                                                     ((3, 3, 0), 32, "n_test")],
                              ids=["size-30", "no-target", "no-test"])
     def test_unusable_dataset_exits_3_before_any_step(self, tmp_path, capsys,
-                                                      counts, size, key):
+                                                      counts, height, key):
         src, tgt = dg.preset_specs("gap-default", seed=7)
-        dg.make_benchmark(src, tgt, *counts, tmp_path / "data", height=size, width=size)
+        dg.make_benchmark(src, tgt, *counts, tmp_path / "data", height=32, width=32)
+        # make_benchmark writes no side the model cannot take, so the
+        # manifest is edited to claim one
+        manifest = tmp_path / "data" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("height=32\n", f"height={height}\n"))
         out = tmp_path / "run"
         code = cli.main(fast_train_args(tmp_path / "data", out))
         assert code == 3

@@ -142,6 +142,17 @@ class TestMakeBenchmark:
             assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, name
         assert not [k for k in entries if k.startswith(("item.", "split_checksum."))]
 
+    @pytest.mark.parametrize("counts, side", [((2, 2, 1), 8), ((2, 2, 1), 30),
+                                              ((2, -1, 1), 32)],
+                             ids=["below-smallest-scene", "not-a-multiple-of-4",
+                                  "negative-count"])
+    def test_bad_sizes_and_counts_are_rejected_before_any_directory(self, tmp_path,
+                                                                    counts, side):
+        src, tgt = dg.preset_specs("gap-default", seed=7)
+        with pytest.raises(InputError):
+            dg.make_benchmark(src, tgt, *counts, tmp_path, height=side, width=side)
+        assert not list(tmp_path.iterdir())
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         src, tgt = dg.preset_specs("gap-default", seed=9)
         first = dg.make_benchmark(src, tgt, 4, 4, 2, tmp_path / "a",

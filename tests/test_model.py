@@ -51,30 +51,39 @@ class TestForward:
         np.testing.assert_allclose(permuted, base[:, perm], atol=1e-12)
 
 
-class TestProjectPrior:
+class TestProjectAnchors:
     def test_identity_projector_passes_through(self, student):
         d = m.COMMON_CHANNELS
         student.params["gpr.conv"].data = np.eye(d).reshape(d, d, 1, 1)
-        rng = np.random.default_rng(5)
-        emb = Tensor(rng.normal(size=(1, d, 4, 4)))
-        out = m.project_prior(student, emb)
-        np.testing.assert_allclose(out.data, emb.data, atol=1e-12)
+        vectors = np.random.default_rng(5).normal(size=(NUM_CLASSES, d))
+        anchors = m.project_anchors(student, m.class_table(vectors, np.float64))
+        assert anchors.shape == (d, NUM_CLASSES, 1, 1)
+        np.testing.assert_allclose(anchors.data[:, :, 0, 0], vectors.T, atol=1e-12)
 
     def test_zero_weights_give_zero_output(self, student):
         student.params["gpr.conv"].data[:] = 0.0
-        emb = Tensor(np.random.default_rng(6).normal(size=(1, NUM_CLASSES, 4, 4)))
-        np.testing.assert_array_equal(m.project_prior(student, emb).data, 0.0)
+        vectors = np.random.default_rng(6).normal(size=(NUM_CLASSES, NUM_CLASSES))
+        anchors = m.project_anchors(student, m.class_table(vectors, np.float64))
+        np.testing.assert_array_equal(anchors.data, 0.0)
 
-    def test_spatially_constant_input_stays_constant(self, student):
-        vec = np.random.default_rng(7).normal(size=NUM_CLASSES)
-        emb = Tensor(np.tile(vec[:, None, None], (1, 5, 5))[None])
-        out = m.project_prior(student, emb).data[0]
-        spread = out.max(axis=(1, 2)) - out.min(axis=(1, 2))
-        assert spread.max() < 1e-12
+    def test_contracting_fractions_projects_the_blended_vectors(self):
+        # the projector is linear: blending the anchors by class fraction is
+        # projecting the fraction-blended class vectors
+        state = m.init_student(seed=1, prior_dim=9)
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(NUM_CLASSES, 9))
+        fractions = rng.dirichlet(np.ones(NUM_CLASSES), size=(2, 5, 5)).transpose(0, 3, 1, 2)
+        anchors = m.project_anchors(state, m.class_table(vectors, np.float64))
+        blended = np.einsum("cd,ncij->ndij", vectors, fractions)
+        np.testing.assert_allclose(
+            tc.conv2d(Tensor(fractions), anchors).data,
+            tc.conv2d(Tensor(blended), state.params["gpr.conv"]).data, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self, student):
-        with pytest.raises(DimensionError):
-            m.project_prior(student, Tensor(np.zeros((1, NUM_CLASSES + 1, 4, 4))))
+        with pytest.raises(DimensionError, match=f"has {NUM_CLASSES + 1} channels but "
+                                                 f"the projector expects {NUM_CLASSES}"):
+            m.project_anchors(student, m.class_table(
+                np.zeros((NUM_CLASSES, NUM_CLASSES + 1)), np.float64))
 
 
 class TestEmaUpdate:

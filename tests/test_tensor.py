@@ -586,6 +586,43 @@ class TestSumSquaredError:
 
 
 # ---------------------------------------------------------------------------
+# reshape
+
+
+class TestReshape:
+    def test_views_the_input_in_row_major_order(self):
+        x = tc.Tensor(np.arange(24.0).reshape(1, 4, 6, 1))
+        out = tc.reshape(x, (4, 6, 1, 1))
+        assert out.shape == (4, 6, 1, 1) and np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data.reshape(-1), x.data.reshape(-1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finite_difference_through_a_reshaped_kernel(self, seed):
+        # a conv's [1,P,C,1] output used as a [P,C,1,1] kernel, and a leaf
+        # reshaped directly
+        rng = np.random.default_rng(40 + seed)
+        table = tc.Tensor(rng.normal(size=(1, 5, 3, 1)))
+        w = tc.Tensor(rng.normal(size=(4, 5, 1, 1)) * 0.6, requires_grad=True)
+        x = tc.Tensor(rng.uniform(size=(2, 12, 4)), requires_grad=True)
+        target = tc.Tensor(rng.normal(size=(2, 4, 4, 4)))
+
+        def loss_fn():
+            anchors = tc.reshape(tc.conv2d(table, w), (4, 3, 1, 1))
+            return tc.sum_squared_error(
+                tc.conv2d(tc.reshape(x, (2, 3, 4, 4)), anchors), target)
+
+        tc.backward(loss_fn())
+        for p in (w, x):
+            numeric = finite_difference(lambda: loss_fn().item(), p, eps=1e-4)
+            assert relative_error(p.grad, numeric) < 1e-3
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 3, 2), (-1, -6)])
+    def test_a_shape_of_another_size_raises(self, shape):
+        with pytest.raises(DimensionError, match="reshape"):
+            tc.reshape(tc.Tensor(np.zeros((2, 3))), shape)
+
+
+# ---------------------------------------------------------------------------
 # backward
 
 
@@ -876,6 +913,7 @@ def op_case(op, dtype):
         "total": lambda: tc.total(a),
         "relu": lambda: tc.relu(a),
         "take_batch": lambda: tc.take_batch(a, 1),
+        "reshape": lambda: tc.reshape(a, (3, 2, 24)),
         "conv2d_3x3": lambda: tc.conv2d(a, kernel3, stride=2, padding=1),
         "conv2d_1x1": lambda: tc.conv2d(a, kernel1),
         "bilinear_resize": lambda: tc.bilinear_resize(a, 3, 7),
@@ -888,8 +926,8 @@ def op_case(op, dtype):
     return inputs.get(op, (a,)), build[op]()
 
 
-DTYPE_OPS = ("add", "scale", "mul", "total", "relu", "take_batch", "conv2d_3x3",
-             "conv2d_1x1", "bilinear_resize", "nearest_resize",
+DTYPE_OPS = ("add", "scale", "mul", "total", "relu", "take_batch", "reshape",
+             "conv2d_3x3", "conv2d_1x1", "bilinear_resize", "nearest_resize",
              "softmax_cross_entropy", "sum_squared_error")
 
 

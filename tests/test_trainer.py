@@ -134,10 +134,16 @@ class TestPseudoLabel:
         assert all(p.grad is None for p in trainer.teacher.params.values())
 
 
+def class_anchors(state, embeddings):
+    """The state's anchors for `embeddings`, as Trainer.train_step makes them."""
+    return md.project_anchors(state, md.class_table(embeddings.vectors, np.float64))
+
+
 def dap_loss(state, image, labels, embeddings):
     """The DAP term of one [3,H,W] image, from a fresh forward pass."""
     out = md.forward(state, Tensor(image[None]))
-    return tr.dap_term(state, out.projected_features, labels, embeddings, "bilinear")
+    return tr.dap_term(class_anchors(state, embeddings), out.projected_features, labels,
+                       "bilinear")
 
 
 class TestDapLoss:
@@ -227,11 +233,15 @@ class TestDapLoss:
             tc.backward(loss)
             return loss.item(), {name: p.grad for name, p in state.named()}
 
+        def pair_term(state, projected):
+            anchors = class_anchors(state, embeddings)  # shared by both images
+            return tc.add(*(tr.dap_term(anchors, tc.take_batch(projected, i), labels[i],
+                                        "bilinear") for i in range(2)))
+
         batch, batch_grads = loss_and_grads(lambda state, projected: tc.scale(
-            tr.dap_term(state, projected, labels, embeddings, "bilinear"), 2.0))
-        pair, pair_grads = loss_and_grads(lambda state, projected: tc.add(*(
-            tr.dap_term(state, tc.take_batch(projected, i), labels[i], embeddings,
-                        "bilinear") for i in range(2))))
+            tr.dap_term(class_anchors(state, embeddings), projected, labels, "bilinear"),
+            2.0))
+        pair, pair_grads = loss_and_grads(pair_term)
         assert abs(batch - pair) <= 1e-15 * abs(pair)
         assert batch_grads["head.conv"] is None and pair_grads["head.conv"] is None
         del batch_grads["head.conv"]
@@ -250,15 +260,12 @@ class TestDapLoss:
         labels[rng.uniform(size=labels.shape) < 0.2] = 255
         labels[:size // 4, :size // 4] = 255           # whole feature cells ignored
         maps = []
-
-        def keep_map(state, embedding_map):
-            maps.append(embedding_map.data)
-            return embedding_map
-
-        monkeypatch.setattr(md, "project_prior", keep_map)
-        # the kept map stands in for the projected prior, so it sets the width
-        projected = Tensor(np.zeros((1, embeddings.dim, feature, feature)))
-        tr.dap_term(None, projected, labels, embeddings, mode)
+        monkeypatch.setattr(tc, "sum_squared_error", lambda a, b: maps.append(b.data))
+        # the unprojected table as the anchors makes the prior map the
+        # D-channel embedding map; only the features' h x w is read
+        anchors = Tensor(embeddings.vectors.T[:, :, None, None])
+        projected = Tensor(np.zeros((1, 1, feature, feature)))
+        tr.dap_term(anchors, projected, labels, mode)
         dense = downsample_embedding(proj(labels, embeddings), feature, feature, mode).data
         assert maps[0].shape == dense.shape
         if embeddings.dim == NUM_CLASSES or mode == "nearest":
@@ -315,7 +322,19 @@ class TestTrainStep:
         assert len(prior_maps) == 1 and prior_maps[0][0].shape == (2, 32, 32)
         # the cross-entropy pair takes its two images apart; the prior term does not
         assert (kinds.count("sum_squared_error"), kinds.count("take_batch")) == (1, 2)
-        assert len(kinds) == 18
+        # of which the anchors' conv2d and reshape are two
+        assert len(kinds) == 20
+
+    def test_a_wide_prior_is_projected_as_its_class_table_only(self, bundle, monkeypatch):
+        # the 300-d vectors reach one conv, as the [1,300,C,1] table; the
+        # step convolves no 300-channel map at feature resolution
+        inputs = []
+        conv2d = tc.conv2d
+        monkeypatch.setattr(tc, "conv2d", lambda x, *args, **kwargs: (
+            inputs.append(x.shape) or conv2d(x, *args, **kwargs)))
+        tr.Trainer(small_config(prior="random", prior_dim=300), bundle).train_step()
+        wide = [shape for shape in inputs if shape[1] == 300]
+        assert wide == [(1, 300, NUM_CLASSES, 1)]
 
     def test_a_32x32_step_allocates_under_1_95_mb_at_its_peak(self, bundle):
         # tracemalloc peak of one step at 32x32 with alpha=1, numpy 2.4: 2.23 MB

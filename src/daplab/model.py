@@ -100,15 +100,13 @@ def make_teacher(student: ModelState) -> ModelState:
 def forward(state: ModelState, image: Tensor, project: bool = True) -> ForwardOutput:
     """Backbone (stride pattern 1,2,2) -> features; 1x1 head up-sampled to
     input resolution -> logits; 1x1 projection of the features (skippable
-    for inference paths that only want logits). The image is cast to the
-    kernels' dtype."""
+    for inference paths that only want logits)."""
     n, c, h, w = image.data.shape
     if c != 3:
         raise DimensionError(f"expected 3 input channels, got {c}")
     if h % INPUT_SIZE_MULTIPLE or w % INPUT_SIZE_MULTIPLE:
         raise DimensionError(f"input size {h}x{w} must be divisible by {INPUT_SIZE_MULTIPLE}")
     p = state.params
-    image = _as_kernel_dtype(image, p["backbone.conv1"])
     x = tc.relu(tc.conv2d(image, p["backbone.conv1"], stride=1, padding=1))
     x = tc.relu(tc.conv2d(x, p["backbone.conv2"], stride=2, padding=1))
     features = tc.relu(tc.conv2d(x, p["backbone.conv3"], stride=2, padding=1))
@@ -117,35 +115,22 @@ def forward(state: ModelState, image: Tensor, project: bool = True) -> ForwardOu
     return ForwardOutput(features, logits, projected)
 
 
-def _as_kernel_dtype(x: Tensor, kernel: Tensor) -> Tensor:
-    """`x`, or a constant copy of it in `kernel`'s dtype."""
-    if x.data.dtype == kernel.data.dtype:
-        return x
-    return Tensor(x.data.astype(kernel.data.dtype))
-
-
-def class_table(vectors: np.ndarray, dtype) -> Tensor:
-    """[C,D] class vectors as the constant [1,D,C,1] map of `dtype` that
-    project_anchors takes."""
-    return Tensor(vectors.T[None, :, :, None].astype(dtype))
-
-
-def project_anchors(state: ModelState, table: Tensor) -> Tensor:
-    """Map the C class vectors of a [1,D,C,1] class `table` into the common
-    space, as a [P,C,1,1] kernel of the projector's dtype: the class
-    anchors. The prior projector and the resize are both linear, so a 1x1
-    conv of an [N,C,h,w] grid of class fractions with the anchors is the
-    projected prior map of those fractions, and no D-channel map is made.
-    The projector's parameter is the conv's kernel, so its gradient flows
-    back through the anchors."""
-    d = table.data.shape[1]
-    expected = state.params["gpr.conv"].data.shape[1]
+def project_anchors(state: ModelState, vectors: np.ndarray) -> Tensor:
+    """Map the prior's [C,D] class `vectors` into the common space, as a
+    [P,C,1,1] kernel of the projector's dtype: the class anchors. The prior
+    projector and the resize are both linear, so a 1x1 conv of an [N,C,h,w]
+    grid of class fractions with the anchors is the projected prior map of
+    those fractions, and no D-channel map is made. The projector's
+    parameter is the conv's kernel, so its gradient flows back through the
+    anchors."""
+    c, d = vectors.shape
+    kernel = state.params["gpr.conv"]
+    expected = kernel.data.shape[1]
     if d != expected:
         raise DimensionError(
             f"embedding map has {d} channels but the projector expects {expected}")
-    kernel = state.params["gpr.conv"]
-    anchors = tc.conv2d(_as_kernel_dtype(table, kernel), kernel)  # [1,P,C,1]
-    return tc.reshape(anchors, (anchors.shape[1], anchors.shape[2], 1, 1))
+    anchors = tc.conv2d(Tensor(vectors.T.reshape(1, d, c, 1)), kernel)  # [1,P,C,1]
+    return tc.reshape(anchors, (anchors.shape[1], c, 1, 1))
 
 
 def ema_update(teacher: ModelState, student: ModelState, decay: float) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .classes import CLASS_ALIASES, CLASS_NAMES, IGNORE_ID, NUM_CLASSES
 from .errors import DimensionError, InputError, read_input_text
+from .model import finite_in
 from .tensor import Tensor, bilinear_resize, nearest_resize
 
 # the built-in priors; any other prior value names a vector file
@@ -58,8 +59,9 @@ def load_vectors(path) -> EmbeddingSet:
 
     Format: first line `D <int>`, then one `<name> <v1> ... <vD>` line per
     word, UTF-8, LF endings. Class names match case-insensitively, with the
-    alias table tried when the canonical name is absent. Vectors are used
-    as-is, without re-normalization.
+    alias table tried when the canonical name is absent. A word given twice
+    (in any case) and a value that is not finite in float32, the model's
+    dtype, are rejected. Vectors are used as-is, without re-normalization.
     """
     lines = read_input_text(path, "vector file").splitlines()
     if not lines:
@@ -74,17 +76,24 @@ def load_vectors(path) -> EmbeddingSet:
     if dim < 1:
         raise InputError(f"{path}:1: dimension must be at least 1, got {dim}")
 
-    table = {}
+    table, word_line = {}, {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != dim + 1:
             raise InputError(f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}")
+        word = parts[0].lower()
+        if word in table:
+            raise InputError(f"{path}:{lineno}: word {parts[0]!r} is already given "
+                             f"on line {word_line[word]}")
         try:
-            table[parts[0].lower()] = np.array([float(v) for v in parts[1:]])
+            row = np.array([float(v) for v in parts[1:]])
         except ValueError:
             raise InputError(f"{path}:{lineno}: bad float value") from None
+        if not finite_in(row, np.float32):
+            raise InputError(f"{path}:{lineno}: a value is not finite in float32")
+        table[word], word_line[word] = row, lineno
 
     rows = []
     for name in CLASS_NAMES:

@@ -8,9 +8,11 @@ Each op computes in its inputs' dtype, and so does its backward: float32
 inputs give float32 outputs and gradients, float64 inputs float64 ones.
 The scalar reductions (`total` and the two losses) are the exception:
 they accumulate into a float64 0-d tensor, and their backward hands on
-gradients in the input's dtype again. Training runs in
-float32; the finite-difference checks feed float64. Everything is
-single-threaded per graph.
+gradients in the input's dtype again. `conv2d` is where constants meet
+parameters: an input that needs no gradient (an image, class fractions,
+the class table) takes its kernel's dtype there, so no caller casts one.
+Training runs in float32; the finite-difference checks feed float64.
+Everything is single-threaded per graph.
 
 The graph is made of op records, and a record points at the producers of
 its inputs, not at the input tensors (see OpRecord). An intermediate array
@@ -327,13 +329,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     the (padded) input; any other kernel's are copied tap by tap, one
     strided slice per (i, j), into a fresh [N,Cin,kh,kw,Ho,Wo] array.
 
+    An input that needs no gradient is cast to the kernel's dtype, in the
+    padding copy when there is one; an input that needs a gradient keeps
+    its own, and so do the padded input, the columns and its gradient.
+
     A record holds its columns until backward, which reuses them for the
     kernel gradient, one `columns[b] @ g[b].T` per sample. Without a record
     (under no_grad, or when no input requires a gradient) nothing keeps
     them. The column gradient is built tap-major, [N,kh,kw,Cin,Ho,Wo], so
     each tap adds one contiguous [Cin,Ho,Wo] slab per sample into the padded
-    input gradient. The padded input, the columns and the input gradient
-    have x's dtype.
+    input gradient.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and kernel")
@@ -349,22 +354,24 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
+    need_x = x.requires_grad
+    dtype = x.data.dtype if need_x else kernel.data.dtype
     if padding:
-        xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
+        # assigning rounds as astype does
+        xp = np.zeros((n, cin, hp, wp), dtype=dtype)
         xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
-        xp = x.data
+        xp = x.data.astype(dtype, copy=False)
     if kh == kw == stride == 1:
         cols = xp.reshape(n, cin, ho * wo)
     else:
-        cols = np.empty((n, cin, kh, kw, ho, wo), dtype=xp.dtype)
+        cols = np.empty((n, cin, kh, kw, ho, wo), dtype=dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride,
                                       j:j + stride * wo:stride]
         cols = cols.reshape(n, cin * kh * kw, ho * wo)
     out = (kernel.data.reshape(cout, cin * kh * kw) @ cols).reshape(n, cout, ho, wo)
-    need_x, dtype = x.requires_grad, x.data.dtype
 
     def back(g):
         g3 = g.reshape(n, cout, ho * wo)

@@ -158,7 +158,7 @@ def dap_term(anchors: Tensor, projected: Tensor, labels: np.ndarray,
     wide as the class vectors is made."""
     fh, fw = projected.shape[2:]
     fractions = downsample_embedding(proj(labels, build_one_hot()), fh, fw, interp).data
-    prior_map = tc.conv2d(Tensor(fractions.astype(anchors.data.dtype, copy=False)), anchors)
+    prior_map = tc.conv2d(Tensor(fractions), anchors)
     return tc.sum_squared_error(projected, prior_map)
 
 
@@ -229,9 +229,6 @@ class Trainer:
                                           seed=config.seed + 1_000_000_007)
         self.student = md.to_float32(
             md.init_student(config.seed, prior_dim=self.embeddings.dim))
-        # each step projects the table once into the class anchors
-        self.class_table = md.class_table(self.embeddings.vectors,
-                                          self.student.params["gpr.conv"].data.dtype)
         self.teacher = md.make_teacher(self.student)
         self.optimizer = make_optimizer(self.student, LR)
 
@@ -260,10 +257,7 @@ class Trainer:
         mixed = mixing.classmix(source, target_image, pseudo, subset)
         mixed = mixing.augment_mixed(mixed, rng)
 
-        # built in the kernels' dtype: assigning rounds as astype does
-        dtype = self.student.params["backbone.conv1"].data.dtype
-        batch = np.empty((2, *source.image.shape), dtype)
-        batch[0], batch[1] = source.image, mixed.image
+        batch = np.stack([source.image, mixed.image])
         labels = np.stack([source.labels, mixed.labels])
         # only the label maps go on, so the float64 images are freed here
         del source, target_image, mixed
@@ -275,7 +269,7 @@ class Trainer:
         if cfg.alpha > 0.0:
             # one term over the batch; its mean over both images' cells,
             # doubled, is the sum of the two images' means
-            anchors = md.project_anchors(self.student, self.class_table)
+            anchors = md.project_anchors(self.student, self.embeddings.vectors)
             dap_mean = dap_term(anchors, out.projected_features, labels, cfg.interp)
             loss_overall = tc.add(loss_seg, tc.scale(dap_mean, 2 * cfg.alpha))
             l_dap = 2 * dap_mean.item()

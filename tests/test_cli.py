@@ -170,13 +170,16 @@ class TestTrain:
         for name, arr in arrays.items():
             np.testing.assert_array_equal(arr, fresh.params[name].data.astype(np.float32))
 
-    def test_nan_prior_file_exits_4(self, data_dir, tmp_path, capsys):
-        vec = tmp_path / "nan_vectors.txt"
-        vec.write_text("D 2\n" + "\n".join(f"{n} nan nan" for n in CLASS_NAMES) + "\n")
-        code = cli.main(fast_train_args(data_dir, tmp_path / "nanrun",
-                                        ["--prior", str(vec)]))
-        assert code == 4
-        capsys.readouterr()
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+    def test_a_prior_value_not_finite_in_float32_exits_3_without_a_run_dir(
+            self, data_dir, tmp_path, capsys, value):
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("D 2\n" + "\n".join(f"{n} {value} 1" for n in CLASS_NAMES) + "\n")
+        out = tmp_path / "run"
+        code = cli.main(fast_train_args(data_dir, out, ["--prior", str(vec)]))
+        assert code == 3
+        assert f"{vec}:2: a value is not finite in float32" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_first_layer_weight_exits_4(self, data_dir, tmp_path, monkeypatch, capsys):
         # ReLU passes the NaN on to the loss instead of zeroing it
@@ -607,6 +610,18 @@ class TestSweep:
                          "--heldout-source", "0"])
         assert code == 3
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_non_finite_prior_file_exits_3_before_creating_out(self, data_dir, tmp_path,
+                                                                capsys):
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("D 2\n" + "\n".join(f"{n} 1 nan" for n in CLASS_NAMES) + "\n")
+        out = tmp_path / "sweep_nan"
+        code = cli.main(["sweep", "--data", str(data_dir), "--out", str(out),
+                         "--priors", f"onehot,{vec}", "--seeds", "2", "--steps", "2",
+                         "--heldout-source", "0"])
+        assert code == 3
+        assert f"{vec}:2: a value is not finite in float32" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_malformed_base_prior_file_exits_3_before_creating_out(self, data_dir,

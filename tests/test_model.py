@@ -56,14 +56,14 @@ class TestProjectAnchors:
         d = m.COMMON_CHANNELS
         student.params["gpr.conv"].data = np.eye(d).reshape(d, d, 1, 1)
         vectors = np.random.default_rng(5).normal(size=(NUM_CLASSES, d))
-        anchors = m.project_anchors(student, m.class_table(vectors, np.float64))
+        anchors = m.project_anchors(student, vectors)
         assert anchors.shape == (d, NUM_CLASSES, 1, 1)
         np.testing.assert_allclose(anchors.data[:, :, 0, 0], vectors.T, atol=1e-12)
 
     def test_zero_weights_give_zero_output(self, student):
         student.params["gpr.conv"].data[:] = 0.0
         vectors = np.random.default_rng(6).normal(size=(NUM_CLASSES, NUM_CLASSES))
-        anchors = m.project_anchors(student, m.class_table(vectors, np.float64))
+        anchors = m.project_anchors(student, vectors)
         np.testing.assert_array_equal(anchors.data, 0.0)
 
     def test_contracting_fractions_projects_the_blended_vectors(self):
@@ -73,7 +73,7 @@ class TestProjectAnchors:
         rng = np.random.default_rng(7)
         vectors = rng.normal(size=(NUM_CLASSES, 9))
         fractions = rng.dirichlet(np.ones(NUM_CLASSES), size=(2, 5, 5)).transpose(0, 3, 1, 2)
-        anchors = m.project_anchors(state, m.class_table(vectors, np.float64))
+        anchors = m.project_anchors(state, vectors)
         blended = np.einsum("cd,ncij->ndij", vectors, fractions)
         np.testing.assert_allclose(
             tc.conv2d(Tensor(fractions), anchors).data,
@@ -82,8 +82,7 @@ class TestProjectAnchors:
     def test_dimension_mismatch_rejected(self, student):
         with pytest.raises(DimensionError, match=f"has {NUM_CLASSES + 1} channels but "
                                                  f"the projector expects {NUM_CLASSES}"):
-            m.project_anchors(student, m.class_table(
-                np.zeros((NUM_CLASSES, NUM_CLASSES + 1)), np.float64))
+            m.project_anchors(student, np.zeros((NUM_CLASSES, NUM_CLASSES + 1)))
 
 
 class TestEmaUpdate:

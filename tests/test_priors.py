@@ -100,6 +100,31 @@ class TestVectorFiles:
         np.testing.assert_array_equal(np.linalg.norm(e.vectors, axis=1),
                                       np.full(NUM_CLASSES, 2.0))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_a_value_not_finite_in_float32_is_rejected_naming_its_line(self, tmp_path,
+                                                                       value):
+        # 1e39 parses as a finite float64 but overflows the float32 model
+        path = tmp_path / "v.txt"
+        rows = [f"{name} 0.5 0.25" for name in CLASS_NAMES]
+        rows[2] = f"{CLASS_NAMES[2]} 0.5 {value}"
+        path.write_text("D 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=f"{path}:4: a value is not finite in float32"):
+            priors.load_vectors(path)
+
+    def test_the_largest_float32_value_is_accepted(self, tmp_path):
+        path = tmp_path / "v.txt"
+        big = float(np.finfo(np.float32).max)
+        path.write_text("D 1\n" + "".join(f"{name} {-big!r}\n" for name in CLASS_NAMES))
+        np.testing.assert_array_equal(priors.load_vectors(path).vectors, -big)
+
+    def test_a_word_given_twice_in_any_case_is_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "v.txt"
+        rows = [f"{name} 0.5 0.25" for name in CLASS_NAMES] + ["Road 1 2"]
+        path.write_text("D 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=f"{path}:{NUM_CLASSES + 2}: word 'Road' is "
+                                             "already given on line 2"):
+            priors.load_vectors(path)
+
 
 class TestProj:
     def test_uniform_map_carries_single_vector(self):

@@ -957,6 +957,33 @@ class TestDtypeContract:
     def test_tensor_keeps_float32_and_makes_anything_else_float64(self, data, dtype):
         assert tc.Tensor(data).data.dtype == dtype
 
+    @pytest.mark.parametrize("size, stride, padding", [(3, 1, 1), (3, 2, 0), (1, 1, 0)])
+    def test_a_constant_input_takes_its_kernels_dtype(self, size, stride, padding):
+        # bit for bit the conv of the input rounded to float32 first, in the
+        # output and in the kernel gradient its columns make
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(2, 3, 6, 7))
+        weights = rng.normal(size=(4, 3, size, size)).astype(np.float32)
+        results = []
+        for image in (x, x.astype(np.float32)):
+            kernel = tc.Tensor(weights.copy(), requires_grad=True)
+            out = tc.conv2d(tc.Tensor(image), kernel, stride=stride, padding=padding)
+            tc.backward(tc.total(tc.mul(out, out)))
+            results.append((out.data, kernel.grad))
+        (out, grad), (want, want_grad) = results
+        assert out.dtype == grad.dtype == np.float32
+        assert out.tobytes() == want.tobytes() and grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_an_input_that_needs_a_gradient_keeps_its_dtype(self, padding):
+        rng = np.random.default_rng(42)
+        x = tc.Tensor(rng.normal(size=(1, 3, 5, 5)), requires_grad=True)
+        kernel = tc.Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32))
+        out = tc.conv2d(x, kernel, padding=padding)
+        assert out.data.dtype == np.float64
+        tc.backward(tc.total(out))
+        assert x.grad.dtype == np.float64
+
     def test_resize_matrices_are_cached_per_dtype(self):
         x32 = tc.Tensor(np.ones((1, 1, 5, 6), dtype=np.float32))
         first = tc.bilinear_resize(x32, 3, 4).data

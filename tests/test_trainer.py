@@ -136,7 +136,7 @@ class TestPseudoLabel:
 
 def class_anchors(state, embeddings):
     """The state's anchors for `embeddings`, as Trainer.train_step makes them."""
-    return md.project_anchors(state, md.class_table(embeddings.vectors, np.float64))
+    return md.project_anchors(state, embeddings.vectors)
 
 
 def dap_loss(state, image, labels, embeddings):

@@ -17,8 +17,12 @@ It prints each side's median train step and per-image evaluation, the
 change's median over the parent's, the number of pairs in which the change
 was faster, and whether the step losses, the predicted labels and the
 final student, teacher and momentum arrays were byte-identical. It exits 1
-when any of them differ. Naming one checkout twice gives an A/A control:
-the spread it shows is the noise a real A/B must exceed.
+when any of them differ. For the train step and for the evaluation it also
+prints the median of the per-pair change/parent ratios with a bootstrap 95%
+interval (BOOTSTRAP_DRAWS resamples of the pairs, drawn from the fixed
+BOOTSTRAP_SEED) and says whether that interval holds 1.0: an interval that
+holds 1.0 shows no change the run can tell from the host's noise. Naming
+one checkout twice gives an A/A control.
 
 Both sides share one numpy, so they run with the same BLAS threads: one
 each, unless OPENBLAS_NUM_THREADS (or OMP_, MKL_) is already set.
@@ -39,9 +43,12 @@ from pathlib import Path
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+import numpy as np  # imported after the thread settings, which it reads
+
 SIDES = ("parent", "change")
 N_SOURCE, N_TARGET, N_TEST, SIZE = 32, 32, 8, 64
 WARMUP_PAIRS = 20
+BOOTSTRAP_DRAWS, BOOTSTRAP_SEED = 2000, 0
 
 
 def load_package(checkout: Path, name: str):
@@ -69,6 +76,18 @@ def summary(times: dict, label: str) -> str:
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     return (f"{label:<16} parent {parent:.3f} ms  change {change:.3f} ms  "
             f"ratio {change / parent:.4f}  change faster in {wins}/{len(times['parent'])}")
+
+
+def pair_ratios(times: dict, label: str) -> str:
+    """The median of the per-pair change/parent ratios, with the 2.5th and
+    97.5th percentiles of its bootstrap distribution."""
+    ratios = np.array(times["change"]) / np.array(times["parent"])
+    draws = np.random.default_rng(BOOTSTRAP_SEED).choice(
+        ratios, size=(BOOTSTRAP_DRAWS, ratios.size))
+    low, high = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    verdict = "holds" if low <= 1.0 <= high else "excludes"
+    return (f"{label:<16} pair ratio median {np.median(ratios):.4f}  "
+            f"95% interval [{low:.4f}, {high:.4f}] {verdict} 1.0")
 
 
 def main(argv=None) -> int:
@@ -125,6 +144,8 @@ def main(argv=None) -> int:
           f"{SIZE}x{SIZE}, BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}")
     print(summary(step_s, "train step"))
     print(summary(eval_s, "per-image eval"))
+    print(pair_ratios(step_s, "train step"))
+    print(pair_ratios(eval_s, "per-image eval"))
     print(f"identical: losses {same_losses}, labels {same_labels}, "
           f"parameters {same_state}")
     return 0 if same_losses and same_labels and same_state else 1

@@ -5,8 +5,12 @@
 In each checkout, with that checkout's `src` on the import path, it runs
 `daplab gen --preset gap-default --seed 7`, then
 `daplab train --steps 300 --seed 1` on that dataset, then `daplab eval` of
-the trained `student_final.ckpt` on the test and on the source split. Last
-it runs `daplab train --config` with a config file it writes (CONFIG: the
+the trained `student_final.ckpt` on the test and on the source split and of
+the final train state `checkpoints/state_000300.ckpt` on the test split.
+Then it repeats the 300-step `train` into the same directory: that finished
+run loads its train state, replays no step and rewrites its files, so
+`student_final.ckpt` comes from the loaded state. Last it runs
+`daplab train --config` with a config file it writes (CONFIG: the
 `lambda` key, the random prior, nearest down-sampling and the pseudo-label
 diagnostic, 40 steps with a checkpoint every 20). Then it writes a small
 vector file (VECTORS, two of its classes under their alias names) and runs
@@ -30,10 +34,14 @@ CONFIG = ("lambda = 0.95\nprior = random\ninterp = nearest\npseudo_acc_diagnosti
           "steps = 40\ncheckpoint_every = 20\nseed = 2\n")
 VECTORS = ("D 3\nroad 1 0 0.1\npavement 0.9 0 0.2\nsky 0 0.1 1\nbuilding 0.2 0.1 0.9\n"
            "bicycle 0.4 1 0\nmotorcycle 0.5 1 0.3\n")
+TRAIN = ["train", "--data", "data", "--out", "run", "--steps", "300", "--seed", "1"]
 COMMANDS = (["gen", "--preset", "gap-default", "--seed", "7", "--out", "data"],
-            ["train", "--data", "data", "--out", "run", "--steps", "300", "--seed", "1"],
+            TRAIN,
             *(["eval", "--ckpt", "run/student_final.ckpt", "--data", "data",
                "--split", split, "--out", f"eval_{split}"] for split in ("test", "source")),
+            ["eval", "--ckpt", "run/checkpoints/state_000300.ckpt", "--data", "data",
+             "--out", "eval_state"],
+            TRAIN,
             ["train", "--data", "data", "--out", "run_config", "--config", "run.cfg"],
             ["sweep", "--data", "data", "--out", "sweep", "--priors", "onehot,vectors.txt",
              "--seeds", "1", "--steps", "20"])

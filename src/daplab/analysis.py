@@ -230,12 +230,6 @@ def emit_heatmap(matrix: np.ndarray, path) -> None:
     sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_heatmap_sidecar(path) -> np.ndarray:
-    rows = [[float(v) for v in line.split(",")]
-            for line in read_input_text(path, "heatmap sidecar").splitlines() if line]
-    return np.array(rows)
-
-
 # ---------------------------------------------------------------------------
 # CSV writers
 

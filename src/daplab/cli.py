@@ -18,7 +18,6 @@ import numpy as np
 
 from . import analysis
 from . import datagen as dg
-from . import model as md
 from . import trainer as tr
 from .datagen import DatasetBundle
 from .errors import InputError, NumericError
@@ -124,11 +123,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle = DatasetBundle(args.data)
-    arrays = md.load_checkpoint(args.ckpt)
-    if any(name.startswith("student.") for name in arrays):
-        arrays = {name.split(".", 1)[1]: arr for name, arr in arrays.items()
-                  if name.startswith("student.")}
-    state = md.state_from_arrays(arrays, "student")
+    state = tr.load_student(args.ckpt)
     key = {"test": "n_test", "source": "n_source"}[args.split]
     count = getattr(bundle, key)
     if count < 1:
@@ -156,14 +151,14 @@ def cmd_eval(args) -> int:
 
 
 def _run_cell(payload) -> tuple:
-    """A cell is a plain run in its own directory."""
-    label, value, seed, config, data_dir, cell_dir = payload
+    """A cell is a plain run in its own directory; its row is (value, seed,
+    final_miou, best_miou, status)."""
+    value, seed, config, data_dir, cell_dir = payload
     try:
         run = tr.run(config, DatasetBundle(data_dir), cell_dir)
-        return (label, value, seed, run.final_miou, run.best_miou, "ok")
+        return (value, seed, run.final_miou, run.best_miou, "ok")
     except Exception as failure:  # a failed cell must not sink the sweep
-        return (label, value, seed, float("nan"), float("nan"),
-                f"failed: {failure}")
+        return (value, seed, float("nan"), float("nan"), f"failed: {failure}")
 
 
 def worker_cap() -> int:
@@ -240,7 +235,7 @@ def cmd_sweep(args) -> int:
         for seed in range(args.seeds):
             config = replace(base, **{label: value, "seed": seed})
             cell_dir = out / "cells" / f"{label}_{name}_seed{seed}"
-            jobs.append((label, value, seed, config, str(args.data), str(cell_dir)))
+            jobs.append((value, seed, config, str(args.data), str(cell_dir)))
         tr.prepare_run(config, bundle)
     workers = min(worker_cap(), len(jobs))
     out.mkdir(parents=True, exist_ok=True)
@@ -256,7 +251,7 @@ def cmd_sweep(args) -> int:
     with (out / "sweep_cells.csv").open("w", encoding="utf-8", newline="") as f:
         cells = csv.writer(f, lineterminator="\n")
         cells.writerow([label, "seed", "final_miou", "best_miou", "status"])
-        cells.writerows(row[1:] for row in rows)
+        cells.writerows(rows)
 
     table_path = out / "sweep_table.csv"
     failed_total = 0
@@ -264,8 +259,9 @@ def cmd_sweep(args) -> int:
         table = csv.writer(f, lineterminator="\n")
         table.writerow([label, "mean_miou", "std_miou", "n_ok", "n_failed"])
         for value in values:
-            scores = [r[3] for r in rows if r[1] == value and not r[5].startswith("f")]
-            failed = sum(1 for r in rows if r[1] == value and r[5].startswith("f"))
+            cell_rows = [r for r in rows if r[0] == value]
+            scores = [r[2] for r in cell_rows if r[4] == "ok"]
+            failed = len(cell_rows) - len(scores)
             failed_total += failed
             mean = float(np.mean(scores)) if scores else float("nan")
             std = float(np.std(scores)) if scores else float("nan")

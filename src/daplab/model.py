@@ -211,23 +211,31 @@ def finite_in(values: np.ndarray, dtype) -> bool:
     return bool((np.abs(values) <= np.finfo(dtype).max).all())
 
 
-def state_from_arrays(arrays: dict, role: str) -> ModelState:
-    """Float32 model parameters from checkpoint arrays, checked by name,
-    shape and finiteness. The prior width is read from `gpr.conv`, so a
-    checkpoint trained with any prior loads."""
-    expected = parameter_shapes().keys()
-    missing, unexpected = sorted(expected - arrays.keys()), sorted(arrays.keys() - expected)
+def check_records(path, arrays: dict, expected: dict, exempt=()) -> None:
+    """Reject `arrays` unless it holds exactly the records `expected` maps to
+    (shape, dtype) pairs, each of its shape and, unless `exempt` names it,
+    finite in its dtype. Every message names `path` and the record."""
+    missing = sorted(expected.keys() - arrays.keys())
+    unexpected = sorted(arrays.keys() - expected.keys())
     if missing or unexpected:
-        raise InputError(f"checkpoint parameters: missing {', '.join(missing) or 'none'}; "
+        raise InputError(f"{path}: missing {', '.join(missing) or 'none'}; "
                          f"unexpected {', '.join(unexpected) or 'none'}")
-    gpr = arrays["gpr.conv"].shape
-    for name, shape in parameter_shapes(gpr[1] if len(gpr) > 1 else 0).items():
+    for name, (shape, dtype) in expected.items():
         if arrays[name].shape != shape:
-            raise InputError(f"checkpoint parameter {name} has shape {arrays[name].shape}, "
+            raise InputError(f"{path}: record {name} has shape {arrays[name].shape}, "
                              f"expected {shape}")
-        if not finite_in(arrays[name], np.float32):
-            raise InputError(f"checkpoint parameter {name} holds a value that is not "
-                             "finite in float32")
+        if name not in exempt and not finite_in(arrays[name], dtype):
+            raise InputError(f"{path}: record {name} holds a value that is not finite "
+                             f"in {np.dtype(dtype)}")
+
+
+def state_from_arrays(arrays: dict, role: str, path="checkpoint") -> ModelState:
+    """Float32 model parameters from checkpoint arrays, checked by
+    `check_records`, whose messages name `path`. The prior width is read
+    from `gpr.conv`, so a checkpoint trained with any prior loads."""
+    gpr = np.shape(arrays.get("gpr.conv", ()))
+    check_records(path, arrays, {name: (shape, np.float32) for name, shape in
+                                 parameter_shapes(gpr[1] if len(gpr) > 1 else 0).items()})
     requires_grad = role == "student"
     return to_float32(ModelState({name: Tensor(arr, requires_grad=requires_grad)
                                   for name, arr in arrays.items()}, role=role))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -309,30 +310,28 @@ class Trainer:
 
     def load_train_state(self, ckpt_path) -> None:
         arrays = md.load_checkpoint(ckpt_path)
-        expected = self._state_arrays()
-        missing = [name for name in expected if name not in arrays]
-        if missing:
-            raise InputError(f"{ckpt_path}: train state lacks {', '.join(missing)}")
-        for name, want in expected.items():
-            if arrays[name].shape != want.shape:
-                raise InputError(f"{ckpt_path}: record {name} has shape "
-                                 f"{arrays[name].shape}, expected {want.shape}")
-            # best_score is -inf before the first held-out check, and NaN
-            # without a held-out split
-            if name != "best_score" and not md.finite_in(arrays[name], want.dtype):
-                raise InputError(f"{ckpt_path}: record {name} holds a value that is not "
-                                 f"finite in {want.dtype}")
+        live = self._state_arrays()
+        # best_score is -inf before the first held-out check, and NaN
+        # without a held-out split
+        md.check_records(ckpt_path, arrays,
+                         {name: (a.shape, a.dtype) for name, a in live.items()},
+                         exempt=("best_score",))
+        # each record takes its live array's dtype; float32 -> <f8 -> float32
+        # is exact, so a resumed run continues bit for bit
+        for name, array in live.items():
+            array[...] = arrays[name]
         self.step_index = int(arrays["step"][0])
         self.best_step = int(arrays["best_step"][0])
         self.best_score = float(arrays["best_score"][0])
-        # each record takes its live array's dtype; float32 -> <f8 -> float32
-        # is exact, so a resumed run continues bit for bit
-        for name, p in self.student.named():
-            p.data = arrays[f"student.{name}"].astype(p.data.dtype)
-        for name, p in self.teacher.named():
-            p.data = arrays[f"teacher.{name}"].astype(p.data.dtype)
-        for name, v in self.optimizer.velocity.items():
-            self.optimizer.velocity[name] = arrays[f"velocity.{name}"].astype(v.dtype)
+
+
+def load_student(path) -> md.ModelState:
+    """The checked float32 student of a student checkpoint, or of a train
+    state's `student.` records."""
+    arrays = md.load_checkpoint(path)
+    student = {name.removeprefix("student."): arr for name, arr in arrays.items()
+               if name.startswith("student.")}
+    return md.state_from_arrays(student or arrays, "student", path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +346,10 @@ class RunResult:
 
 
 def _latest_state(checkpoint_dir: Path):
-    """The newest `state_*.ckpt`, or None."""
-    return max(checkpoint_dir.glob("state_*.ckpt"), default=None)
+    """The `state_<step>.ckpt` of the highest step, or None."""
+    states = [(int(match[1]), path) for path in checkpoint_dir.glob("state_*.ckpt")
+              if (match := re.fullmatch(r"state_([0-9]+)\.ckpt", path.name))]
+    return max(states, default=(0, None))[1]
 
 
 def prepare_run(config: TrainConfig, bundle: DatasetBundle) -> Trainer:
@@ -455,8 +456,8 @@ def run(config: TrainConfig, bundle: DatasetBundle, out_dir) -> RunResult:
         # best.ckpt holds the final student: float32 -> <f8 -> float32 is exact
         best_metrics = final_metrics
     else:
-        best_state = md.state_from_arrays(md.load_checkpoint(best_path), "student")
-        best_metrics = analysis.evaluate(best_state, map(bundle.test, test_split))
+        best_metrics = analysis.evaluate(load_student(best_path),
+                                         map(bundle.test, test_split))
     for tag, metrics in (("final", final_metrics), ("best", best_metrics)):
         analysis.write_metrics_csv(metrics, out / f"eval_{tag}_metrics.csv")
         analysis.write_confusion_csv(metrics.confusion, out / f"eval_{tag}_confusion.csv")

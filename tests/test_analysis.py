@@ -329,7 +329,7 @@ class TestHeatmap:
         matrix = rng.uniform(-1, 1, size=(4, 4))
         path = tmp_path / "m.pgm"
         analysis.emit_heatmap(matrix, path)
-        parsed = analysis.read_heatmap_sidecar(tmp_path / "m.pgm.csv")
+        parsed = np.loadtxt(tmp_path / "m.pgm.csv", delimiter=",", ndmin=2)
         np.testing.assert_allclose(parsed, matrix, atol=5e-7)
 
     def test_non_finite_rejected(self, tmp_path):

@@ -962,6 +962,7 @@ class TestMalformedInput:
         assert code == 3
         err = capsys.readouterr().err
         assert "head.conv" in err and "(5, 32, 1, 1)" in err and "(6, 32, 1, 1)" in err
+        assert str(misshapen) in err
 
     # 1e39 is finite in the checkpoint's <f8 but overflows the float32 model
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
@@ -975,8 +976,22 @@ class TestMalformedInput:
         code = cli.main(["eval", "--ckpt", str(poisoned), "--data", str(data_dir),
                          "--out", str(out)])
         assert code == 3
-        assert "backbone.conv1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "backbone.conv1" in err and str(poisoned) in err
         assert not out.exists()
+
+    def test_resume_from_a_state_with_an_unknown_record_exits_3_naming_it(
+            self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out)) == 0
+        state = out / "checkpoints" / "state_000004.ckpt"
+        arrays = md.load_checkpoint(state)
+        arrays["velocity.head.bias"] = np.zeros(6)
+        md.save_checkpoint(state, arrays)
+        capsys.readouterr()
+        assert cli.main(fast_train_args(data_dir, out)) == 3
+        err = capsys.readouterr().err
+        assert f"{state}: missing none; unexpected velocity.head.bias" in err
 
     def test_checkpoint_trained_with_a_300d_prior_evaluates(self, data_dir, tmp_path,
                                                             capsys):

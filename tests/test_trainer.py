@@ -588,8 +588,25 @@ class TestRun:
             arrays = dict(complete)
             del arrays[record]
             md.save_checkpoint(state, arrays)
-            with pytest.raises(InputError, match=f"lacks {record}$"):
+            with pytest.raises(InputError, match=f"missing {record}; unexpected none$"):
                 tr.run(config, bundle, out)
+
+    def test_resume_picks_the_newest_state_by_step_number(self, bundle, tmp_path):
+        # as text, state_999999.ckpt sorts after state_1000000.ckpt
+        trainer = tr.Trainer(small_config(), bundle)
+        checkpoints = tmp_path / "checkpoints"
+        checkpoints.mkdir()
+        for step in (999_999, 1_000_000):
+            trainer.step_index = step
+            trainer.save_train_state(checkpoints / f"state_{step:06d}.ckpt")
+        # names that are not state_<digits>.ckpt are no train states
+        for stray in ("state_2000000a.ckpt", "state_.ckpt", "state_x.ckpt"):
+            (checkpoints / stray).write_bytes(b"")
+        latest = tr._latest_state(checkpoints)
+        assert latest == checkpoints / "state_1000000.ckpt"
+        resumed = tr.Trainer(small_config(), bundle)
+        resumed.load_train_state(latest)
+        assert resumed.step_index == 1_000_000
 
     def test_resume_names_a_misshapen_state_record(self, bundle, tmp_path):
         config = small_config(steps=8, checkpoint_every=4)

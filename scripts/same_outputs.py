@@ -9,16 +9,19 @@ the trained `student_final.ckpt` on the test and on the source split and of
 the final train state `checkpoints/state_000300.ckpt` on the test split.
 Then it repeats the 300-step `train` into the same directory: that finished
 run loads its train state, replays no step and rewrites its files, so
-`student_final.ckpt` comes from the loaded state. Last it runs
+`student_final.ckpt` comes from the loaded state. Next it runs
 `daplab train --config` with a config file it writes (CONFIG: the
 `lambda` key, the random prior, nearest down-sampling and the pseudo-label
 diagnostic, 40 steps with a checkpoint every 20). Then it writes a small
 vector file (VECTORS, two of its classes under their alias names) and runs
 `daplab sweep --priors onehot,vectors.txt --seeds 1 --steps 20` in one
-worker (DAP_LAB_THREADS=1). It compares every dataset, config, run, sweep
-and evaluation file of the two sides byte for byte, after dropping the
-`wallclock.*` lines of each `run_manifest.txt`, which time the run. It prints one line per file and exits 1 if any file differs
-or exists on one side only.
+worker (DAP_LAB_THREADS=1). Last it runs `daplab gen --preset gap-none
+--seed 3 --size 32` with 8, 8 and 4 scenes, so scenes of a second size and
+of a target domain with no hue shift are compared too. It compares every
+dataset, config, run, sweep and evaluation file of the two sides byte for
+byte, after dropping the `wallclock.*` lines of each `run_manifest.txt`,
+which time the run. It prints one line per file and exits 1 if any file
+differs or exists on one side only.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ COMMANDS = (["gen", "--preset", "gap-default", "--seed", "7", "--out", "data"],
             TRAIN,
             ["train", "--data", "data", "--out", "run_config", "--config", "run.cfg"],
             ["sweep", "--data", "data", "--out", "sweep", "--priors", "onehot,vectors.txt",
-             "--seeds", "1", "--steps", "20"])
+             "--seeds", "1", "--steps", "20"],
+            ["gen", "--preset", "gap-none", "--seed", "3", "--size", "32", "--n-source", "8",
+             "--n-target", "8", "--n-test", "4", "--out", "data_none"])
 
 
 def outputs(checkout: Path, work: Path) -> dict:

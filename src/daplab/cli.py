@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, training, evaluation and
 sweep harnesses, each reproducible from its run manifest.
 
-Exit codes: 0 success, 2 usage, 3 bad input/config, 4 numeric failure.
+Exit codes: 0 success, 2 usage, 3 bad input/config or out of memory, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -300,6 +301,10 @@ def main(argv=None) -> int:
             where = "standard output"  # its reader went away, as in `| head -1`
         reason = failure.strerror or str(failure)
         print(f"error: {reason}" if where is None else f"error: {where}: {reason}",
+              file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as failure:  # numpy's names the array it could not allocate
+        print(f"error: {failure}" if str(failure) else "error: out of memory",
               file=sys.stderr)
         return EXIT_INPUT
     except NumericError as failure:

@@ -27,6 +27,7 @@ MANIFEST_NAME = "manifest.txt"
 MANIFEST_FORMAT = "daplab-benchmark-v2"
 RUN_MANIFEST_NAME = "run_manifest.txt"
 MIN_SCENE_SIDE = 16       # the smallest scene height or width generate_scene renders
+MAX_SCENE_SIDE = math.isqrt(np.iinfo(np.intp).max // 24)  # largest side of a float64 RGB array
 # the label values a label map may hold, by uint8 value: the class ids and IGNORE_ID
 _LABEL_VALUES = np.zeros(256, dtype=bool)
 _LABEL_VALUES[:NUM_CLASSES] = _LABEL_VALUES[IGNORE_ID] = True
@@ -100,10 +101,7 @@ _TEMPLATES = {BIKE: _object_template(BIKE), MOTORBIKE: _object_template(MOTORBIK
 
 def hue_rotation_matrix(theta: float) -> np.ndarray:
     """Rodrigues rotation of RGB vectors around the gray axis (1,1,1)/sqrt(3)."""
-    axis = np.ones(3) / math.sqrt(3.0)
-    k = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
+    k = np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]) / math.sqrt(3.0)
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
 
 
@@ -115,8 +113,8 @@ def _smooth_jitter(rng: np.random.Generator, width: int, amplitude: int) -> np.n
 
 
 def generate_scene(spec: DomainSpec, h: int, w: int, rng: np.random.Generator) -> LabeledImage:
-    """Render one scene. Labels are exact by construction; the image is the
-    palette lookup followed by hue rotation and additive texture noise."""
+    """Draw one scene's label map and paint it with render. Labels are exact
+    by construction."""
     if h < MIN_SCENE_SIDE or w < MIN_SCENE_SIDE:
         raise InputError(f"scenes need h, w >= {MIN_SCENE_SIDE}")
     freq = np.asarray(spec.class_frequency, dtype=np.float64)
@@ -136,17 +134,13 @@ def generate_scene(spec: DomainSpec, h: int, w: int, rng: np.random.Generator) -
 
     # buildings standing on the horizon line
     n_buildings = int(rng.integers(2, 5))
-    edges = np.sort(rng.choice(np.arange(1, w), size=n_buildings - 1, replace=False)) \
-        if n_buildings > 1 else np.array([], dtype=np.int64)
-    segments = np.split(np.arange(w), edges)
+    edges = [0, *sorted(rng.choice(np.arange(1, w), size=n_buildings - 1, replace=False)), w]
     coverage = rng.uniform(0.6, 0.92)
-    target_area = freq[BUILDING] * total
-    covered = max(int(coverage * w), 1)
-    base_height = target_area / covered
-    for segment in segments:
-        seg_w = len(segment)
+    base_height = freq[BUILDING] * total / max(int(coverage * w), 1)
+    for start, stop in zip(edges, edges[1:]):
+        seg_w = stop - start
         b_w = max(int(round(seg_w * coverage)), 1)
-        x0 = segment[0] + int(rng.integers(0, seg_w - b_w + 1))
+        x0 = start + int(rng.integers(0, seg_w - b_w + 1))
         b_h = int(round(base_height * rng.uniform(0.8, 1.2)))
         b_h = min(max(b_h, 1), max(horizon - 1, 1))
         labels[horizon - b_h:horizon, x0:x0 + b_w] = BUILDING
@@ -176,15 +170,19 @@ def generate_scene(spec: DomainSpec, h: int, w: int, rng: np.random.Generator) -
             region = labels[y0:y0 + th, x0:x0 + tw]
             region[stamp] = class_id
 
-    # render
+    return LabeledImage(render(labels, spec, rng), labels)
+
+
+def render(labels: np.ndarray, spec: DomainSpec, rng: np.random.Generator) -> np.ndarray:
+    """Paint the label map `labels` in `spec`'s style: its palette, hue-rotated and
+    clipped, per pixel, plus clipped texture noise from `rng`; [3,H,W] float64."""
     palette = np.asarray(spec.palette, dtype=np.float64)
-    image = palette[labels]                                   # [h,w,3]
-    if spec.hue_shift != 0.0:
-        image = np.clip(image @ hue_rotation_matrix(spec.hue_shift).T, 0.0, 1.0)
+    colors = np.clip(palette @ hue_rotation_matrix(spec.hue_shift).T, 0.0, 1.0)
+    image = colors[labels]                                    # [h,w,3]
     if spec.texture_noise_sigma > 0.0:
         image = np.clip(image + rng.normal(0.0, spec.texture_noise_sigma, image.shape),
                         0.0, 1.0)
-    return LabeledImage(np.ascontiguousarray(image.transpose(2, 0, 1)), labels)
+    return np.ascontiguousarray(image.transpose(2, 0, 1))
 
 
 def scene_rng(spec: DomainSpec, index: int) -> np.random.Generator:
@@ -390,10 +388,12 @@ def check_image_side(name: str, size: int) -> None:
 
 def check_scene_side(name: str, size: int) -> None:
     """Reject a scene side that generate_scene cannot render or the model
-    cannot take."""
+    cannot take, or that is above MAX_SCENE_SIDE."""
     check_image_side(name, size)
     if size < MIN_SCENE_SIDE:
         raise InputError(f"{name} must be at least {MIN_SCENE_SIDE}, got {size}")
+    if size > MAX_SCENE_SIDE:
+        raise InputError(f"{name} must be at most {MAX_SCENE_SIDE}, got {size}")
 
 
 def check_count(name: str, count: int) -> None:
@@ -422,20 +422,20 @@ class DatasetBundle:
         self.entries = parse_manifest(manifest)
         try:
             form = self.entries["format"]
-            self.n_source, self.n_target, self.n_test, self.height, self.width = (
-                int(self.entries[key])
-                for key in ("n_source", "n_target", "n_test", "height", "width"))
+            values = {key: self.entries[key]
+                      for key in ("n_source", "n_target", "n_test", "height", "width")}
         except KeyError as missing:
             raise InputError(f"{manifest}: missing key {missing.args[0]!r}") from None
-        except ValueError as bad:
-            raise InputError(f"{manifest}: {bad}") from None
         if form != MANIFEST_FORMAT:
             raise InputError(f"{manifest}: format {form!r} is not {MANIFEST_FORMAT}; "
                              "regenerate the dataset with `daplab gen`")
-        for key in ("n_source", "n_target", "n_test"):
-            check_count(f"{manifest}: {key}", getattr(self, key))
-        check_image_side(f"{manifest}: height", self.height)
-        check_image_side(f"{manifest}: width", self.width)
+        for key, value in values.items():
+            try:
+                setattr(self, key, int(value))
+            except ValueError:
+                raise InputError(f"{manifest}: {key} is not an integer: {value!r}") from None
+            check = check_image_side if key in ("height", "width") else check_count
+            check(f"{manifest}: {key}", getattr(self, key))
         self._cache: dict = {}
 
     def dataset_checksum(self) -> str:

@@ -200,6 +200,8 @@ def load_checkpoint(path) -> dict:
             count = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             offset += count * 8
+            if name in arrays:
+                raise InputError(f"{path}: record {name} is given twice")
             arrays[name] = arr.reshape(dims).astype(np.float64)
     except (struct.error, ValueError):
         raise InputError(f"{path}: truncated or corrupt checkpoint") from None

@@ -36,6 +36,14 @@ def fast_train_args(data_dir, out, extra=()):
             "--checkpoint-every", "0", *extra]
 
 
+def repeat_record(path, name, values):
+    """Append a second `name` record holding `values` to the model file at `path`."""
+    extra = path.with_name("extra.ckpt")
+    md.save_checkpoint(extra, {name: values})
+    path.write_bytes(path.read_bytes() + extra.read_bytes()[len(md.CHECKPOINT_MAGIC):])
+    extra.unlink()
+
+
 def write_vectors(path, seed=0, dim=4):
     priors.save_vectors(path, priors.build_random(dim, seed))
     return path
@@ -993,6 +1001,29 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert f"{state}: missing none; unexpected velocity.head.bias" in err
 
+    def test_checkpoint_that_repeats_a_record_exits_3_naming_it(self, data_dir, tmp_path,
+                                                               capsys):
+        ckpt = tmp_path / "student_final.ckpt"
+        arrays = md.init_student(0).data_arrays()
+        md.save_checkpoint(ckpt, arrays)
+        repeat_record(ckpt, "backbone.conv1", arrays["backbone.conv1"] + 1.0)
+        out = tmp_path / "eval"
+        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                         "--out", str(out)])
+        assert code == 3
+        assert f"{ckpt}: record backbone.conv1 is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_from_a_state_that_repeats_a_record_exits_3_naming_it(
+            self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(data_dir, out)) == 0
+        state = out / "checkpoints" / "state_000004.ckpt"
+        repeat_record(state, "step", np.array(2.0))
+        capsys.readouterr()
+        assert cli.main(fast_train_args(data_dir, out)) == 3
+        assert f"{state}: record step is given twice" in capsys.readouterr().err
+
     def test_checkpoint_trained_with_a_300d_prior_evaluates(self, data_dir, tmp_path,
                                                             capsys):
         wide = tmp_path / "wide.ckpt"
@@ -1045,6 +1076,21 @@ class TestMalformedInput:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("height", "1e9"), ("n_source", "six"),
+                                            ("width", "")])
+    def test_manifest_value_that_is_not_an_integer_exits_3_naming_its_key(
+            self, data_dir, tmp_path, capsys, key, value):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        manifest = broken / "manifest.txt"
+        manifest.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
+                                    for line in manifest.read_text().splitlines(True)))
+        out = tmp_path / "run"
+        assert cli.main(fast_train_args(broken, out)) == 3
+        assert (f"{manifest}: {key} is not an integer: {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["n_source", "n_target", "n_test"])
     def test_negative_manifest_count_exits_3_and_names_it(self, data_dir, tmp_path, capsys,
                                                           key):
@@ -1080,6 +1126,33 @@ class TestMalformedInput:
         assert code == 3
         assert "--size must be at least 16, got 8" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gen_size_too_large_for_one_array_exits_3_before_writing(self, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "data"
+        code = cli.main(["gen", "--out", str(out), "--size", str(2 ** 40)])
+        assert code == 3
+        assert (f"--size must be at most {dg.MAX_SCENE_SIDE}, got {2 ** 40}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failure, message", [
+        (MemoryError("Unable to allocate 1.00 TiB for an array with shape (1048576, "
+                      "1048576) and data type uint8"),
+         "error: Unable to allocate 1.00 TiB for an array with shape (1048576, 1048576) "
+         "and data type uint8"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_running_out_of_memory_exits_3_with_its_message(self, tmp_path, capsys,
+                                                           monkeypatch, failure, message):
+        def exhausted(*args):
+            raise failure
+
+        monkeypatch.setattr(dg, "generate_scene", exhausted)
+        code = cli.main(["gen", "--out", str(tmp_path / "data"), "--size", "16",
+                         "--n-source", "1", "--n-target", "1", "--n-test", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("form", ["daplab-benchmark-v1", "daplab-benchmark-v3"])
     def test_dataset_manifest_of_another_format_exits_3_naming_it(self, data_dir, tmp_path,

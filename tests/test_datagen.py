@@ -39,6 +39,8 @@ class TestGenerateScene:
         palette = np.asarray(spec.palette)
         expected = palette[scene.labels].transpose(2, 0, 1)
         np.testing.assert_array_equal(scene.image, expected)
+        np.testing.assert_array_equal(dg.render(scene.labels, spec, dg.scene_rng(spec, 1)),
+                                      expected)
 
     def test_all_labels_valid(self):
         spec = flat_spec(sigma=0.05, hue=0.2)
@@ -87,6 +89,37 @@ class TestGenerateScene:
             counts += np.bincount(scene.labels.ravel(), minlength=NUM_CLASSES)
         small = (counts[dg.BIKE] + counts[dg.MOTORBIKE]) / counts.sum()
         assert small < 0.05
+
+    @pytest.mark.parametrize("preset", dg.PRESETS)
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_render_equals_the_per_pixel_formula_bit_for_bit(self, preset, seed):
+        for spec in dg.preset_specs(preset, seed):
+            labels = dg.generate_scene(spec, 48, 64, dg.scene_rng(spec, seed)).labels
+            rng = np.random.default_rng(seed)
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            rotation = dg.hue_rotation_matrix(spec.hue_shift)
+            image = np.clip(np.asarray(spec.palette)[labels] @ rotation.T, 0.0, 1.0)
+            image = np.clip(image + twin.normal(0.0, spec.texture_noise_sigma, image.shape),
+                            0.0, 1.0)
+            painted = dg.render(labels, spec, rng)
+            assert painted.dtype == np.float64 and painted.flags.c_contiguous
+            assert painted.tobytes() == image.transpose(2, 0, 1).tobytes()
+
+    def test_target_style_render_keeps_the_source_layout(self):
+        source, target = dg.preset_specs("gap-default", seed=4)
+        scene = dg.generate_scene(source, 64, 64, dg.scene_rng(source, 0))
+        labels = scene.labels.copy()
+        twin = dg.render(scene.labels, target, dg.scene_rng(target, 0))
+        np.testing.assert_array_equal(scene.labels, labels)
+        assert twin.shape == scene.image.shape and twin.min() >= 0.0 and twin.max() <= 1.0
+        assert (np.abs(twin - scene.image) > 0.1).any()
+        # noise aside, each class keeps one color: the target palette's, hue-rotated
+        rotation = dg.hue_rotation_matrix(target.hue_shift)
+        colors = np.clip(np.asarray(target.palette) @ rotation.T, 0.0, 1.0)
+        for class_id in np.unique(labels):
+            mean = twin[:, labels == class_id].mean(axis=1)
+            np.testing.assert_allclose(mean, colors[class_id], atol=0.03)
 
     def test_silhouettes_differ_only_by_appendage(self):
         bike = dg._object_template(dg.BIKE)
@@ -143,9 +176,9 @@ class TestMakeBenchmark:
         assert not [k for k in entries if k.startswith(("item.", "split_checksum."))]
 
     @pytest.mark.parametrize("counts, side", [((2, 2, 1), 8), ((2, 2, 1), 30),
-                                              ((2, -1, 1), 32)],
+                                              ((2, 2, 1), 2 ** 40), ((2, -1, 1), 32)],
                              ids=["below-smallest-scene", "not-a-multiple-of-4",
-                                  "negative-count"])
+                                  "too-large-for-one-array", "negative-count"])
     def test_bad_sizes_and_counts_are_rejected_before_any_directory(self, tmp_path,
                                                                     counts, side):
         src, tgt = dg.preset_specs("gap-default", seed=7)
@@ -285,3 +318,11 @@ class TestMakeBenchmark:
 
 def test_hue_rotation_is_identity_at_zero():
     np.testing.assert_array_equal(dg.hue_rotation_matrix(0.0), np.eye(3))
+
+
+@pytest.mark.parametrize("theta", [-2.0, 0.3, 0.6, 1.0])
+def test_hue_rotation_is_a_rotation_that_keeps_gray(theta):
+    rotation = dg.hue_rotation_matrix(theta)
+    np.testing.assert_allclose(rotation @ rotation.T, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(rotation @ np.ones(3), np.ones(3), atol=1e-12)
+    np.testing.assert_allclose(np.trace(rotation), 1 + 2 * np.cos(theta), atol=1e-12)

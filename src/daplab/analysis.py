@@ -80,9 +80,7 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     present = confusion.sum(axis=1) > 0
     denom = tp + fp + fn
     iou = np.full(c, np.nan)
-    nonzero = present & (denom > 0)
-    iou[nonzero] = tp[nonzero] / denom[nonzero]
-    iou[present & (denom == 0)] = 0.0
+    iou[present] = tp[present] / denom[present]  # present: denom >= fn + tp > 0
     miou = float(np.nanmean(iou[present])) if present.any() else float("nan")
     return Metrics(iou, miou, confusion)
 
@@ -249,6 +247,15 @@ def write_confusion_csv(confusion: np.ndarray, path) -> None:
 
 
 def read_confusion_csv(path) -> np.ndarray:
-    rows = [[int(v) for v in line.split(",")]
-            for line in read_input_text(path, "confusion CSV").splitlines() if line]
-    return np.array(rows, dtype=np.int64)
+    """The [C,C] table write_confusion_csv writes: NUM_CLASSES lines of NUM_CLASSES
+    counts of 1-18 digits; any other is an InputError naming the file and line."""
+    lines = read_input_text(path, "confusion CSV").splitlines()
+    if len(lines) != NUM_CLASSES:
+        raise InputError(f"{path}:{min(len(lines), NUM_CLASSES) + 1}: expected "
+                         f"{NUM_CLASSES} rows, got {len(lines)}")
+    for lineno, line in enumerate(lines, 1):
+        cells = line.split(",")
+        if len(cells) != NUM_CLASSES or not all(c.isdecimal() and len(c) <= 18 for c in cells):
+            raise InputError(f"{path}:{lineno}: expected {NUM_CLASSES} counts split by "
+                             f"commas, got {line!r}")
+    return np.array([[int(c) for c in line.split(",")] for line in lines], dtype=np.int64)

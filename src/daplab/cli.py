@@ -125,11 +125,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     bundle = DatasetBundle(args.data)
     state = tr.load_student(args.ckpt)
-    key = {"test": "n_test", "source": "n_source"}[args.split]
-    count = getattr(bundle, key)
-    if count < 1:
-        raise InputError(f"--split {args.split}: {key} is {count}")
-    bundle.check_split(args.split)  # every item, before the evaluation is timed
+    count = bundle.check_split(args.split)  # every item, before the evaluation is timed
     started = time.perf_counter()
     metrics = analysis.evaluate(state, map(getattr(bundle, args.split), range(count)))
     out = Path(args.out)

@@ -47,10 +47,13 @@ class DomainSpec:
     seed: int
 
     def __post_init__(self):
-        if len(self.palette) != NUM_CLASSES:
-            raise InputError(f"palette needs {NUM_CLASSES} colors")
+        if len(self.palette) != NUM_CLASSES or any(len(color) != 3 for color in self.palette):
+            raise InputError(f"palette needs {NUM_CLASSES} colors of 3 values")
         if len(self.class_frequency) != NUM_CLASSES:
             raise InputError(f"class_frequency needs {NUM_CLASSES} weights")
+        for name in ("palette", "texture_noise_sigma", "hue_shift", "class_frequency"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InputError(f"{name} holds a value that is not finite")
         freq = np.asarray(self.class_frequency, dtype=np.float64)
         if (freq < 0).any():
             raise InputError("class_frequency entries must be >= 0")
@@ -250,29 +253,24 @@ def read_pgm(path, digest=None) -> np.ndarray:
 # benchmark bundles
 
 
-def _spec_to_lines(prefix: str, spec: DomainSpec) -> list:
-    palette = ";".join(",".join(repr(float(v)) for v in color) for color in spec.palette)
-    freq = ",".join(repr(float(v)) for v in spec.class_frequency)
-    return [
-        f"{prefix}.palette={palette}",
-        f"{prefix}.texture_noise_sigma={spec.texture_noise_sigma!r}",
-        f"{prefix}.hue_shift={spec.hue_shift!r}",
-        f"{prefix}.class_frequency={freq}",
-        f"{prefix}.seed={spec.seed}",
-    ]
+def _text(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
 
 
-def _spec_from_entries(entries: dict, prefix: str) -> DomainSpec:
-    palette = tuple(tuple(float(v) for v in color.split(","))
-                    for color in entries[f"{prefix}.palette"].split(";"))
-    return DomainSpec(
-        palette=palette,
-        texture_noise_sigma=float(entries[f"{prefix}.texture_noise_sigma"]),
-        hue_shift=float(entries[f"{prefix}.hue_shift"]),
-        class_frequency=tuple(float(v) for v in
-                              entries[f"{prefix}.class_frequency"].split(",")),
-        seed=int(entries[f"{prefix}.seed"]),
-    )
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+# how the manifest spells each DomainSpec field: its writer, its reader (which
+# raises ValueError on a malformed value) and what that reader takes
+_SPEC_FIELDS = {
+    "palette": (lambda colors: ";".join(map(_text, colors)),
+                lambda text: tuple(map(_floats, text.split(";"))), "colors split by ;"),
+    "texture_noise_sigma": (repr, float, "a number"),
+    "hue_shift": (repr, float, "a number"),
+    "class_frequency": (_text, _floats, "numbers split by ,"),
+    "seed": (str, int, "an integer"),
+}
 
 
 def item_files(split: str, i: int) -> tuple:
@@ -300,21 +298,16 @@ def make_benchmark(source_spec: DomainSpec, target_spec: DomainSpec,
     reproduces every file byte for byte. Item files that an earlier, larger
     benchmark left in `out_dir` are removed; no other file is. A bad side or
     count raises InputError before anything is written."""
-    for name, side in (("height", height), ("width", width)):
-        check_scene_side(name, side)
-    for name, count in (("n_source", n_source), ("n_target", n_target), ("n_test", n_test)):
-        check_count(name, count)
+    sizes = dict(height=height, width=width, n_source=n_source, n_target=n_target,
+                 n_test=n_test)
+    for key, value in sizes.items():
+        check = check_scene_side if key in ("height", "width") else check_count
+        check(key, value)
     root = Path(out_dir)
-    lines = [
-        f"format={MANIFEST_FORMAT}",
-        f"height={height}",
-        f"width={width}",
-        f"n_source={n_source}",
-        f"n_target={n_target}",
-        f"n_test={n_test}",
-    ]
-    lines += _spec_to_lines("source", source_spec)
-    lines += _spec_to_lines("target", target_spec)
+    lines = [f"format={MANIFEST_FORMAT}", *(f"{key}={value}" for key, value in sizes.items())]
+    lines += [f"{prefix}.{name}={write(getattr(spec, name))}"
+              for prefix, spec in (("source", source_spec), ("target", target_spec))
+              for name, (write, _, _) in _SPEC_FIELDS.items()]
     for split, spec, count, first_scene in (("source", source_spec, n_source, 0),
                                             ("target_train", target_spec, n_target, 0),
                                             ("target_test", target_spec, n_test, n_target)):
@@ -369,27 +362,19 @@ def write_run_manifest(out_dir, command: str, fields: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def regenerate_from_manifest(manifest_path, out_dir) -> Path:
-    """Rebuild the full bundle described by a manifest into `out_dir`."""
-    entries = parse_manifest(manifest_path)
-    return make_benchmark(_spec_from_entries(entries, "source"),
-                          _spec_from_entries(entries, "target"),
-                          int(entries["n_source"]), int(entries["n_target"]),
-                          int(entries["n_test"]), out_dir,
-                          height=int(entries["height"]), width=int(entries["width"]))
-
-
-def check_image_side(name: str, size: int) -> None:
-    """Reject an image side the model cannot take (see INPUT_SIZE_MULTIPLE)."""
-    if size < INPUT_SIZE_MULTIPLE or size % INPUT_SIZE_MULTIPLE:
-        raise InputError(f"{name} must be a positive multiple of "
-                         f"{INPUT_SIZE_MULTIPLE}, got {size}")
+def regenerate_from_manifest(root, out_dir) -> Path:
+    """Rebuild the dataset at `root`, as its manifest describes it, into
+    `out_dir`; the manifest is read and checked as DatasetBundle reads it."""
+    bundle = DatasetBundle(root)
+    return make_benchmark(bundle.source_spec, bundle.target_spec, bundle.n_source,
+                          bundle.n_target, bundle.n_test, out_dir, bundle.height, bundle.width)
 
 
 def check_scene_side(name: str, size: int) -> None:
-    """Reject a scene side that generate_scene cannot render or the model
-    cannot take, or that is above MAX_SCENE_SIDE."""
-    check_image_side(name, size)
+    """Reject a scene side that is not a multiple of INPUT_SIZE_MULTIPLE (the
+    model's), below MIN_SCENE_SIDE (generate_scene's) or above MAX_SCENE_SIDE."""
+    if size % INPUT_SIZE_MULTIPLE:
+        raise InputError(f"{name} must be a multiple of {INPUT_SIZE_MULTIPLE}, got {size}")
     if size < MIN_SCENE_SIDE:
         raise InputError(f"{name} must be at least {MIN_SCENE_SIDE}, got {size}")
     if size > MAX_SCENE_SIDE:
@@ -405,10 +390,12 @@ def check_count(name: str, count: int) -> None:
 class DatasetBundle:
     """Read access to an on-disk benchmark.
 
-    Trainer-facing methods are source() and target_image(); hidden target
-    labels are reachable only through target_hidden_labels(), the
-    evaluation-only accessor. Every pixmap passes one check on its first
-    read (_pixmap), sealed labels and target-train images included.
+    Opening it parses and checks each manifest value once (_value), the
+    domains' source_spec and target_spec included. Trainer-facing methods are
+    source() and target_image(); hidden target labels are reachable only
+    through target_hidden_labels(), the evaluation-only accessor. Every
+    pixmap passes one check on its first read (_pixmap), sealed labels and
+    target-train images included.
 
     Each item file is read once. The bundle keeps an image as its 8-bit
     pixels, 1 byte per channel-pixel, and hands out a new float64 image
@@ -420,23 +407,33 @@ class DatasetBundle:
         self.root = Path(root)
         manifest = self.root / MANIFEST_NAME
         self.entries = parse_manifest(manifest)
-        try:
-            form = self.entries["format"]
-            values = {key: self.entries[key]
-                      for key in ("n_source", "n_target", "n_test", "height", "width")}
-        except KeyError as missing:
-            raise InputError(f"{manifest}: missing key {missing.args[0]!r}") from None
+        form = self._value("format", str, "text")
         if form != MANIFEST_FORMAT:
             raise InputError(f"{manifest}: format {form!r} is not {MANIFEST_FORMAT}; "
                              "regenerate the dataset with `daplab gen`")
-        for key, value in values.items():
-            try:
-                setattr(self, key, int(value))
-            except ValueError:
-                raise InputError(f"{manifest}: {key} is not an integer: {value!r}") from None
-            check = check_image_side if key in ("height", "width") else check_count
+        for key in ("n_source", "n_target", "n_test", "height", "width"):
+            setattr(self, key, self._value(key, int, "an integer"))
+            check = check_scene_side if key in ("height", "width") else check_count
             check(f"{manifest}: {key}", getattr(self, key))
+        for prefix in ("source", "target"):
+            fields = {name: self._value(f"{prefix}.{name}", read, what)
+                      for name, (_, read, what) in _SPEC_FIELDS.items()}
+            try:
+                setattr(self, f"{prefix}_spec", DomainSpec(**fields))
+            except InputError as bad:  # its message starts with the field's name
+                raise InputError(f"{manifest}: {prefix}.{bad}") from None
         self._cache: dict = {}
+
+    def _value(self, key: str, parse, what: str):
+        """The manifest's `key` read with `parse`, which takes `what`; a missing
+        key or a ValueError from `parse` is an InputError naming both."""
+        if key not in self.entries:
+            raise InputError(f"{self.root / MANIFEST_NAME}: missing key {key!r}")
+        try:
+            return parse(self.entries[key])
+        except ValueError:
+            raise InputError(f"{self.root / MANIFEST_NAME}: {key} is not {what}: "
+                             f"{self.entries[key]!r}") from None
 
     def dataset_checksum(self) -> str:
         """The sha256 of the manifest's file digests, in manifest order."""
@@ -482,14 +479,19 @@ class DatasetBundle:
             return self._pixmap(read_ppm, image), self._pixmap(read_pgm, label)
         return self._cached((split, i), load)
 
-    def check_split(self, split: str) -> None:
+    def check_split(self, split: str) -> int:
         """Read and check every item of `split` ("source", "target_image",
         "target_hidden_labels" or "test"), keeping its bytes but decoding no
-        image."""
-        count = {"source": self.n_source, "target_image": self.n_target,
-                 "target_hidden_labels": self.n_target, "test": self.n_test}[split]
+        image, and return its item count; an empty split is an InputError."""
+        key = {"source": "n_source", "target_image": "n_target",
+               "target_hidden_labels": "n_target", "test": "n_test"}[split]
+        count = getattr(self, key)
+        if count < 1:
+            raise InputError(f"{self.root / MANIFEST_NAME}: {key} is {count}: "
+                             f"the dataset has no {split} items")
         for i in range(count):
             self._item(split, i)
+        return count
 
     def source(self, i: int) -> LabeledImage:
         pixels, labels = self._item("source", i)

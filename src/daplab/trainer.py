@@ -223,9 +223,6 @@ class Trainer:
         if config.heldout_source >= bundle.n_source:
             raise InputError(f"heldout_source {config.heldout_source} leaves no training "
                              f"images: n_source is {bundle.n_source}")
-        if bundle.n_target < 1:
-            raise InputError(f"n_target is {bundle.n_target}: the dataset has no "
-                             "target-train images")
         self.embeddings = make_embeddings(config.prior, dim=config.prior_dim,
                                           seed=config.seed + 1_000_000_007)
         self.student = md.to_float32(
@@ -355,10 +352,8 @@ def _latest_state(checkpoint_dir: Path):
 def prepare_run(config: TrainConfig, bundle: DatasetBundle) -> Trainer:
     """The run's Trainer, built once every input check has passed, before
     anything is written: every source, target-train and test item is read
-    and checked, and with pseudo_acc_diagnostic every sealed label too."""
-    if bundle.n_test < 1:
-        raise InputError(f"n_test is {bundle.n_test}: the dataset has no test "
-                         "images to evaluate")
+    and checked, and with pseudo_acc_diagnostic every sealed label too;
+    check_split rejects an empty split."""
     trainer = Trainer(config, bundle)
     for split in ("source", "target_image", "test") + (
             ("target_hidden_labels",) if config.pseudo_acc_diagnostic else ()):

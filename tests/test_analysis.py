@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,3 +366,26 @@ class TestMetricsCSV:
         path = tmp_path / "confusion.csv"
         analysis.write_confusion_csv(confusion, path)
         np.testing.assert_array_equal(analysis.read_confusion_csv(path), confusion)
+
+    @pytest.mark.parametrize("cell, row, line", [("x", 2, 3), ("-1", 3, 4), ("1,2", 0, 1),
+                                                 ("2.5", 5, 6)],
+                             ids=["not-an-integer", "negative", "ragged", "fraction"])
+    def test_confusion_csv_with_a_bad_cell_or_row_is_rejected_naming_its_line(
+            self, tmp_path, cell, row, line):
+        rows = [["7"] * NUM_CLASSES for _ in range(NUM_CLASSES)]
+        rows[row][1] = cell
+        path = tmp_path / "confusion.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:{line}: "):
+            analysis.read_confusion_csv(path)
+
+    @pytest.mark.parametrize("text, line", [("1,2\n3,4\n", 3), ("", 1),
+                                            ("1,1,1,1,1,1\n" * 7, 7)],
+                             ids=["2x2", "empty", "7-rows"])
+    def test_confusion_csv_that_is_not_num_classes_square_is_rejected(self, tmp_path,
+                                                                      text, line):
+        path = tmp_path / "confusion.csv"
+        path.write_text(text)
+        with pytest.raises(InputError,
+                           match=f"^{re.escape(str(path))}:{line}: expected {NUM_CLASSES} rows"):
+            analysis.read_confusion_csv(path)

@@ -308,7 +308,7 @@ class TestEval:
 
         # rewrite the test labels as the checkpoint's own predictions
         cheat = tmp_path / "cheat_data"
-        dg.regenerate_from_manifest(data_dir / "manifest.txt", cheat)
+        dg.regenerate_from_manifest(data_dir, cheat)
         arrays = md.load_checkpoint(out / "student_final.ckpt")
         state = md.state_from_arrays(arrays, "student")
         bundle = DatasetBundle(cheat)
@@ -426,7 +426,7 @@ class TestEval:
         code = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
                          "--split", split, "--out", str(out)])
         assert code == 3
-        assert f"--split {split}: {key} is 0" in capsys.readouterr().err
+        assert f"{tmp_path / 'data' / 'manifest.txt'}: {key} is 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -802,7 +802,26 @@ def _out_is_a_file(command):
     return damage
 
 
-# each reproduces an input that once ended in a traceback (exit 1)
+def _manifest_value(key, value, command, message):
+    """The dataset manifest with `key` set to `value`, or without `key` when
+    `value` is None, under `command` (train or eval), which must report
+    `<manifest>: <message>`."""
+    def damage(data, tmp_path):
+        manifest = data / "manifest.txt"
+        manifest.write_text("".join(
+            ("" if value is None else f"{key}={value}\n") if line.startswith(f"{key}=")
+            else line for line in manifest.read_text().splitlines(True)))
+        out, named = tmp_path / "run", [f"{manifest}: {message}"]
+        if command == "train":
+            return fast_train_args(data, out), named
+        ckpt = tmp_path / "student.ckpt"
+        md.save_checkpoint(ckpt, md.init_student(0).data_arrays())
+        return ["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)], named
+    return damage
+
+
+# each reproduces an input that once ended in a traceback (exit 1), or, for
+# a domain spec's manifest line, was never checked
 UNREADABLE_INPUTS = {
     "missing-target-image": _missing_item("target_train/img_002.ppm"),
     "missing-test-image": _missing_item("target_test/img_000.ppm"),
@@ -814,6 +833,13 @@ UNREADABLE_INPUTS = {
     "target-image-16x16": _target_image_of_the_wrong_size,
     "train-out-is-a-file": _out_is_a_file("train"),
     "gen-out-is-a-file": _out_is_a_file("gen"),
+    **{f"{name}-{command}": _manifest_value(key, value, command, message)
+       for name, key, value, message in (
+           ("manifest-without-source-hue-shift", "source.hue_shift", None,
+            "missing key 'source.hue_shift'"),
+           ("manifest-height-1e9", "height", "1e9", "height is not an integer: '1e9'"),
+           ("manifest-palette-x", "source.palette", "x", "source.palette is not"))
+       for command in ("train", "eval")},
 }
 
 

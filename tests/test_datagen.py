@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -190,7 +191,7 @@ class TestMakeBenchmark:
         src, tgt = dg.preset_specs("gap-default", seed=9)
         first = dg.make_benchmark(src, tgt, 4, 4, 2, tmp_path / "a",
                                   height=32, width=32)
-        dg.regenerate_from_manifest(first, tmp_path / "b")
+        dg.regenerate_from_manifest(tmp_path / "a", tmp_path / "b")
         for rel in sorted(p.relative_to(tmp_path / "a")
                           for p in (tmp_path / "a").rglob("*") if p.is_file()):
             assert (tmp_path / "a" / rel).read_bytes() == \
@@ -314,6 +315,33 @@ class TestMakeBenchmark:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(InputError):
             dg.DatasetBundle(tmp_path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("source.hue_shift", None, "missing key 'source.hue_shift'"),
+        ("height", "1e9", "height is not an integer: '1e9'"),
+        ("source.palette", "x", "source.palette is not colors split by ;: 'x'"),
+        ("target.seed", "1.5", "target.seed is not an integer: '1.5'"),
+        ("target.palette", "0,0;1,1;0,0;1,1;0,0;1,1",
+         "target.palette needs 6 colors of 3 values"),
+        ("target.hue_shift", "nan", "target.hue_shift holds a value that is not finite"),
+        ("source.class_frequency", "0.5,0.5,0.5,0,0,0", "source.class_frequency sums to"),
+        # a side that make_benchmark would not write is not read either
+        ("width", "12", "width must be at least 16, got 12"),
+    ], ids=["no-source-hue-shift", "height-1e9", "palette-x", "seed-1.5", "palette-pairs",
+            "hue-shift-nan", "frequency-sum-1.5", "width-12"])
+    def test_bad_manifest_value_is_rejected_naming_manifest_and_key(self, tmp_path,
+                                                                    key, value, message):
+        src, tgt = dg.preset_specs("gap-default", seed=7)
+        root = tmp_path / "data"
+        manifest = dg.make_benchmark(src, tgt, 1, 1, 1, root, 16, 16)
+        manifest.write_text("".join(
+            ("" if value is None else f"{key}={value}\n") if line.startswith(f"{key}=")
+            else line for line in manifest.read_text().splitlines(True)))
+        for read in (dg.DatasetBundle,
+                     lambda root: dg.regenerate_from_manifest(root, tmp_path / "copy")):
+            with pytest.raises(InputError, match=re.escape(f"{manifest}: {message}")):
+                read(root)
+        assert not (tmp_path / "copy").exists()
 
 
 def test_hue_rotation_is_identity_at_zero():

@@ -24,6 +24,12 @@ BOOTSTRAP_SEED) and says whether that interval holds 1.0: an interval that
 holds 1.0 shows no change the run can tell from the host's noise. Naming
 one checkout twice gives an A/A control.
 
+After the timed pairs it runs PEAK_STEPS more, untimed, train steps on each
+side under `tracemalloc`, with every training item already read, and
+prints each side's largest step peak: the bytes of numpy and Python
+allocations live at once during a step, which a memory change moves
+without the bench.
+
 Both sides share one numpy, so they run with the same BLAS threads: one
 each, unless OPENBLAS_NUM_THREADS (or OMP_, MKL_) is already set.
 """
@@ -37,6 +43,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 # read when numpy loads, which importing either package does
@@ -48,6 +55,7 @@ import numpy as np  # imported after the thread settings, which it reads
 SIDES = ("parent", "change")
 N_SOURCE, N_TARGET, N_TEST, SIZE = 32, 32, 8, 64
 WARMUP_PAIRS = 20
+PEAK_STEPS = 3
 BOOTSTRAP_DRAWS, BOOTSTRAP_SEED = 2000, 0
 
 
@@ -113,7 +121,7 @@ def main(argv=None) -> int:
                                temp, height=SIZE, width=SIZE)
         trainers, tests = {}, {}
         for side, package in packages.items():
-            config = package.trainer.TrainConfig(steps=pairs, prior=args.prior,
+            config = package.trainer.TrainConfig(steps=pairs + PEAK_STEPS, prior=args.prior,
                                                  heldout_source=0, checkpoint_every=0)
             bundle = package.datagen.DatasetBundle(temp)
             trainers[side] = package.trainer.Trainer(config, bundle)
@@ -140,12 +148,27 @@ def main(argv=None) -> int:
             same_labels &= labels["parent"].tobytes() == labels["change"].tobytes()
         same_state = state_bytes(trainers["parent"]) == state_bytes(trainers["change"])
 
+        peaks = {side: [] for side in SIDES}
+        for side in SIDES:
+            for split in ("source", "target_image"):
+                trainers[side].bundle.check_split(split)
+        for _ in range(PEAK_STEPS):
+            for side in SIDES:
+                tracemalloc.start()
+                try:
+                    trainers[side].train_step()
+                    peaks[side].append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
     print(f"prior {args.prior}, {args.steps} timed pairs after {WARMUP_PAIRS} untimed, "
           f"{SIZE}x{SIZE}, BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}")
     print(summary(step_s, "train step"))
     print(summary(eval_s, "per-image eval"))
     print(pair_ratios(step_s, "train step"))
     print(pair_ratios(eval_s, "per-image eval"))
+    print(f"step peak (tracemalloc, largest of {PEAK_STEPS} untimed steps)  "
+          + "  ".join(f"{side} {max(peaks[side]) / 1e6:.3f} MB" for side in SIDES))
     print(f"identical: losses {same_losses}, labels {same_labels}, "
           f"parameters {same_state}")
     return 0 if same_losses and same_labels and same_state else 1

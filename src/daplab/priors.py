@@ -118,7 +118,9 @@ def save_vectors(path, embeddings: EmbeddingSet) -> None:
 def proj(labels: np.ndarray, embeddings: EmbeddingSet) -> Tensor:
     """Paste each pixel's class vector into a dense [N,D,H,W] map.
 
-    Ignore pixels carry the zero vector. The result is a constant: no
+    Ignore pixels carry the zero vector; any other id outside [0,
+    NUM_CLASSES), negative ones included, is an InputError. The map is
+    gathered sample by sample into one array. The result is a constant: no
     gradient flows into the embedding table. Training calls this with the
     one-hot set only: `trainer.dap_term` resizes the indicators to class
     fractions and blends the projected class anchors by them. Any set works
@@ -129,13 +131,18 @@ def proj(labels: np.ndarray, embeddings: EmbeddingSet) -> Tensor:
         labels = labels[None]
     if labels.ndim != 3:
         raise DimensionError("proj expects [H,W] or [N,H,W] labels")
-    lookup = np.vstack([embeddings.vectors, np.zeros((1, embeddings.dim))])
-    idx = np.where(labels == IGNORE_ID, NUM_CLASSES, labels).astype(np.int64)
-    if idx.max() > NUM_CLASSES:
+    ignored = labels == IGNORE_ID
+    idx = np.where(ignored, 0, labels).astype(np.int64)
+    if idx.min() < 0 or idx.max() >= NUM_CLASSES:
         raise InputError("label id outside the embedding table")
-    # gathered channels-first, so no [N,H,W,D] map is built and transposed
-    grid = np.take(np.ascontiguousarray(lookup.T), idx, axis=1)       # [D,N,H,W]
-    return Tensor(grid.transpose(1, 0, 2, 3))
+    idx[ignored] = NUM_CLASSES
+    # the ignore row last; columns, so each sample gathers channels-first
+    table = np.vstack([embeddings.vectors, np.zeros((1, embeddings.dim))]).T.copy()
+    grid = np.empty((len(idx), embeddings.dim) + idx.shape[1:])
+    for sample, ids in zip(grid, idx):
+        # the ids are checked, so take need not check them into a buffer
+        np.take(table, ids, axis=1, out=sample, mode="clip")
+    return Tensor(grid)
 
 
 def downsample_embedding(embedding_map: Tensor, out_h: int, out_w: int,

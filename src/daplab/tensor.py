@@ -18,8 +18,9 @@ The graph is made of op records, and a record points at the producers of
 its inputs, not at the input tensors (see OpRecord). An intermediate array
 that no backward reads is freed as soon as the caller lets go of its
 tensor, during the forward. One that a backward reads (a conv's columns, a
-ReLU's output) lives as long as the graph, and the root tensor keeps the
-whole graph alive, so backward can run again.
+ReLU's mask) lives until that backward has run: `backward` consumes the
+graph, dropping each record's `backward_fn` once it is called, so it runs
+once per graph.
 
 Importing this module makes glibc keep freed heap in the process (see
 _keep_freed_heap), so a step's arrays reuse the pages of the step before.
@@ -130,8 +131,10 @@ class OpRecord:
     it, for an op output; the tensor itself, for a leaf that requires a
     gradient; None, for anything else. So a record keeps no intermediate
     tensor. An intermediate's array outlives the forward only when a
-    `backward_fn` keeps it to read (a conv's columns, a ReLU's output, a
-    loss's log-probabilities) or a caller holds the tensor.
+    `backward_fn` keeps it to read (a conv's columns, a loss's
+    log-probabilities) or a caller holds the tensor. `backward` sets
+    `backward_fn` to None once it has run it, so what it kept is freed
+    there and a consumed record cannot run again.
 
     `output` is not kept either: the output holds the record as `op`, so a
     reference back would make every graph a cycle that only the cyclic
@@ -149,14 +152,19 @@ class OpRecord:
         self.seq = next(_RECORD_SEQ)
 
 
+def _tracked(inputs: Iterable[Tensor]) -> bool:
+    """Whether an op on `inputs` gets a record: gradients are live and an
+    input requires one."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 def _emit(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
           backward_fn) -> Tensor:
-    """Wrap an op result, attaching a record when gradients are live. A
-    record exists only when an input requires a gradient, so single-input ops
-    return their gradient untested; two-input ops test each input. A
-    `backward_fn` keeps only what it reads: no input tensor whose array it
-    does not need."""
-    track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    """Wrap an op result, attaching a record when `_tracked(inputs)`. So
+    single-input ops return their gradient untested; two-input ops test each
+    input. A `backward_fn` keeps only what it reads: no input tensor whose
+    array it does not need."""
+    track = _tracked(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
         out.op = OpRecord(kind, inputs, out, backward_fn)
@@ -174,8 +182,13 @@ def backward(loss: Tensor) -> None:
     Gradients flow along the records' sinks: an op output's gradient is
     summed at its producer's record, in the order its consumers run, and
     handed to that record's `backward_fn`. The sweep needs no intermediate
-    tensor, and the records and closures stay as they were, so calling
-    twice without reset_gradients() adds the gradients again.
+    tensor.
+
+    The sweep consumes the graph: it drops every reachable record's
+    `backward_fn`, each right after calling it, so each array a backward
+    reads is freed after its last read. A second backward through any
+    consumed record raises RuntimeError before any .grad changes; gradients
+    accumulate across separate graphs until reset_gradients().
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward() root must be scalar, got shape {list(loss.shape)}")
@@ -185,16 +198,20 @@ def backward(loss: Tensor) -> None:
     while stack:
         record = stack.pop()
         if record is not None and record.seq not in reachable:
+            if record.backward_fn is None:
+                raise RuntimeError(f"backward() through a consumed {record.kind} record: "
+                                   "a graph's backward runs once; build the graph again")
             reachable[record.seq] = record
             stack.extend(s for s in record.sinks if not isinstance(s, Tensor))
 
     # sink -> summed gradient; records and tensors hash by identity
     flowing: dict = {} if loss.op is None else {loss.op: np.ones_like(loss.data)}
     for _, record in sorted(reachable.items(), reverse=True):
+        backward_fn, record.backward_fn = record.backward_fn, None
         upstream = flowing.pop(record, None)
         if upstream is None:
             continue
-        for sink, grad_in in zip(record.sinks, record.backward_fn(upstream)):
+        for sink, grad_in in zip(record.sinks, backward_fn(upstream)):
             if sink is None or grad_in is None:
                 continue
             if sink in flowing:
@@ -270,13 +287,15 @@ def relu(x: Tensor) -> Tensor:
 
     -0.0 maps to +0.0. A NaN propagates rather than being zeroed, so a
     non-finite activation reaches the loss, whose finiteness check rejects it.
-    The record keeps no mask: `out > 0` holds exactly where `x > 0` does,
-    -0.0 and NaN included, so backward derives it from the output.
+    A record keeps the 1-byte mask `out > 0`, not the output; the mask
+    holds exactly where `x > 0` does, -0.0 and NaN included. It is made
+    only when there is a record, so a no_grad pass makes none.
     """
     out = np.maximum(x.data, 0.0)
+    mask = out > 0.0 if _tracked((x,)) else None
 
     def back(g):
-        return (g * (out > 0.0),)
+        return (g * mask,)
 
     return _emit("relu", (x,), out, back)
 
@@ -334,11 +353,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     its own, and so do the padded input, the columns and its gradient.
 
     A record holds its columns until backward, which reuses them for the
-    kernel gradient, one `columns[b] @ g[b].T` per sample. Without a record
-    (under no_grad, or when no input requires a gradient) nothing keeps
-    them. The column gradient is built tap-major, [N,kh,kw,Cin,Ho,Wo], so
-    each tap adds one contiguous [Cin,Ho,Wo] slab per sample into the padded
-    input gradient.
+    kernel gradient, one `columns[b] @ g[b].T` per sample, and then frees
+    them with the record's `backward_fn`. Without a record (under no_grad,
+    or when no input requires a gradient) nothing keeps them. The input
+    gradient is built one sample at a time: the sample's column gradient,
+    tap-major [kh,kw,Cin,Ho,Wo], then one contiguous [Cin,Ho,Wo] slab per
+    tap added into its padded input gradient, so only one sample's column
+    gradient exists at once.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and kernel")
@@ -383,12 +404,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             dk = dkt.T.reshape(cout, cin, kh, kw)
         if need_x:
             taps = kernel.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-            dcols = (taps @ g3).reshape(n, kh, kw, cin, ho, wo)
             dxp = np.zeros((n, cin, hp, wp), dtype=dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += dcols[:, i, j]
+            for b in range(n):
+                dcols = (taps @ g3[b]).reshape(kh, kw, cin, ho, wo)
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[b, :, i:i + stride * ho:stride,
+                            j:j + stride * wo:stride] += dcols[i, j]
+                del dcols
             dx = dxp[:, :, padding:padding + h, padding:padding + w]
         return (dx, dk)
 

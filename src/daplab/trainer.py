@@ -199,7 +199,8 @@ def train_supervised(items, steps: int, seed: int) -> md.ModelState:
     for step in range(steps):
         item = items[int(order.integers(len(items)))]
         # only the loss is held through descend, and only until it returns:
-        # the graph keeps what its backward reads, and the logits go first
+        # the graph keeps what its backward reads, each until that backward
+        # has run, and the logits go first
         descend(optimizer, tc.softmax_cross_entropy(
             md.forward(state, Tensor(item.image[None]), project=False).logits,
             item.labels[None]), step, steps)
@@ -255,27 +256,34 @@ class Trainer:
         mixed = mixing.classmix(source, target_image, pseudo, subset)
         mixed = mixing.augment_mixed(mixed, rng)
 
-        batch = np.stack([source.image, mixed.image])
+        batch = Tensor(np.stack([source.image, mixed.image]))
         labels = np.stack([source.labels, mixed.labels])
-        # only the label maps go on, so the float64 images are freed here
+        # only the label maps go on, so the float64 images are freed here,
+        # and the float64 batch after the forward: conv1 reads it only into
+        # its float32 padding copy
         del source, target_image, mixed
-        out = md.forward(self.student, Tensor(batch))
+        out = md.forward(self.student, batch)
+        del batch
         loss_seg = tc.add(
             tc.softmax_cross_entropy(tc.take_batch(out.logits, 0), labels[0:1]),
             tc.softmax_cross_entropy(tc.take_batch(out.logits, 1), labels[1:2]))
+        # the graph keeps what its backward reads, each until that backward
+        # has run; the logits go before the prior map is built, and the
+        # projected features before the backward pass
+        projected = out.projected_features
+        del out
 
         if cfg.alpha > 0.0:
             # one term over the batch; its mean over both images' cells,
             # doubled, is the sum of the two images' means
             anchors = md.project_anchors(self.student, self.embeddings.vectors)
-            dap_mean = dap_term(anchors, out.projected_features, labels, cfg.interp)
+            dap_mean = dap_term(anchors, projected, labels, cfg.interp)
             loss_overall = tc.add(loss_seg, tc.scale(dap_mean, 2 * cfg.alpha))
             l_dap = 2 * dap_mean.item()
         else:
             loss_overall, l_dap = loss_seg, 0.0
 
-        # the graph keeps what its backward reads; the forward's other arrays go now
-        del batch, out
+        del projected
         lr_t = descend(self.optimizer, loss_overall, step, cfg.steps)
         md.ema_update(self.teacher, self.student, cfg.ema_lambda)
 

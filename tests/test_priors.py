@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,26 @@ class TestProj:
         labels = np.array([[0, IGNORE_ID]], dtype=np.uint8)
         out = priors.proj(labels, e).data[0]
         np.testing.assert_array_equal(out[:, 0, 1], np.zeros(NUM_CLASSES))
+
+    @pytest.mark.parametrize("bad_id", [-1, -2, NUM_CLASSES])
+    def test_label_id_outside_the_table_is_rejected(self, bad_id):
+        # -1 and NUM_CLASSES once read the ignore row, and -2 the last class
+        labels = np.zeros((2, 3), dtype=np.int16)
+        labels[1, 2] = bad_id
+        with pytest.raises(InputError, match="label id outside the embedding table"):
+            priors.proj(labels, priors.build_one_hot())
+
+    def test_the_map_is_the_one_map_sized_allocation(self):
+        labels = np.random.default_rng(7).integers(0, NUM_CLASSES, size=(2, 32, 32))
+        e = priors.build_random(64, seed=8)
+        tracemalloc.start()
+        try:
+            out = priors.proj(labels, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        map_bytes = out.data.nbytes
+        assert map_bytes <= peak < map_bytes + map_bytes // 4, (peak, map_bytes)
 
     def test_result_requires_no_grad(self):
         e = priors.build_one_hot()

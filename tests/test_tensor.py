@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import os
@@ -271,9 +272,10 @@ class TestConv2d:
         assert relative_error(dx, ref_dx) < 1e-5
         assert relative_error(dk, ref_dk) < 1e-5
 
-    def test_a_record_holds_its_columns_until_the_graph_is_dropped(self):
+    def test_a_record_holds_its_columns_until_its_backward_runs(self):
         # tracemalloc counts numpy's data buffers; a 3x3 conv's columns are
-        # nine times its input
+        # nine times its input. backward consumes the graph, so the columns
+        # go while the root is still held
         rng = np.random.default_rng(32)
         x = tc.Tensor(rng.normal(size=(2, 16, 32, 32)).astype(np.float32))
         k = tc.Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32),
@@ -292,15 +294,15 @@ class TestConv2d:
             loss = tc.total(tc.relu(tc.conv2d(x, k, stride=1, padding=1)))
             assert tracemalloc.get_traced_memory()[0] - base > cols_bytes
             tc.backward(loss)
-            del loss
             assert tracemalloc.get_traced_memory()[0] - base < cols_bytes // 4
+            assert loss.op is not None
         finally:
             tracemalloc.stop()
             gc.enable()
 
     def test_a_relu_of_a_conv_keeps_no_conv_output_once_the_forward_returns(self):
-        # the graph keeps the conv's columns and the ReLU's output, which
-        # their backwards read; the conv's output nobody reads is freed
+        # the graph keeps the conv's columns and the ReLU's 1-byte mask,
+        # which their backwards read; the conv's output nobody reads is freed
         rng = np.random.default_rng(33)
         x = tc.Tensor(rng.normal(size=(2, 16, 32, 32)).astype(np.float32))
         k = tc.Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32),
@@ -376,12 +378,38 @@ class TestRelu:
         assert same_bits(out.data, np.maximum(x, 0.0))
         assert same_bits(xt.grad, upstream * (x > 0.0))
 
-    def test_record_keeps_only_its_output(self):
+    def test_record_keeps_one_bool_mask_and_not_its_output(self):
         x = tc.Tensor(np.random.default_rng(3).normal(size=(2, 4, 5)), requires_grad=True)
         out = tc.relu(x)
         held = [cell.cell_contents for cell in out.op.backward_fn.__closure__]
         arrays = [v for v in held if isinstance(v, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0] is out.data
+        assert len(arrays) == 1
+        assert arrays[0].dtype == np.bool_ and arrays[0].shape == out.shape
+        assert not np.shares_memory(arrays[0], out.data)
+        np.testing.assert_array_equal(arrays[0], out.data > 0)
+
+    def test_no_grad_makes_no_mask(self):
+        # the mask of a float32 output is a quarter of its bytes
+        x = tc.Tensor(np.random.default_rng(4).normal(size=(8, 64, 64)).astype(np.float32),
+                      requires_grad=True)
+        out_bytes = x.data.nbytes
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            peaks = {}
+            for grad in (False, True):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                with contextlib.nullcontext() if grad else tc.no_grad():
+                    out = tc.relu(x)
+                peaks[grad] = tracemalloc.get_traced_memory()[1] - base
+                del out
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert out_bytes <= peaks[False] < out_bytes + out_bytes // 8, peaks
+        assert peaks[True] >= out_bytes + out_bytes // 4, peaks
 
     def test_no_grad_output_equals_the_grad_mode_output(self):
         x = np.array([-0.0, np.nan, 3.0, -2.0, 0.0], np.float32)
@@ -674,12 +702,11 @@ class TestBackward:
         first, second = run(), run()
         np.testing.assert_array_equal(first, second)
 
-    def test_repeat_without_reset_accumulates(self):
+    def test_two_graphs_without_reset_accumulate(self):
         x = tc.Tensor([1.0, 2.0])
         w = tc.Tensor([3.0, 4.0], requires_grad=True)
-        loss = tc.total(tc.mul(w, x))
-        tc.backward(loss)
-        tc.backward(loss)
+        for _ in range(2):
+            tc.backward(tc.total(tc.mul(w, x)))
         np.testing.assert_array_equal(w.grad, 2 * x.data)
 
     def test_linearity(self):
@@ -835,9 +862,10 @@ class TestBackward:
             alone.append(k.grad)
         assert same_bits(both, alone[0] + alone[1])
 
-    def test_backward_twice_on_a_graph_built_in_a_helper_doubles_the_gradients(self):
+    def test_a_second_backward_on_a_consumed_root_raises_and_keeps_the_gradients(self):
         # the helper's intermediate tensors are gone when backward runs; the
-        # records and their closures hold all that backward reads
+        # records and their closures hold all that backward reads, and the
+        # first backward consumes them
         rng = np.random.default_rng(17)
         k1 = tc.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
         k2 = tc.Tensor(rng.normal(size=(3, 4, 1, 1)) * 0.5, requires_grad=True)
@@ -854,10 +882,20 @@ class TestBackward:
 
         loss = build()
         tc.backward(loss)
-        once = [k1.grad.copy(), k2.grad.copy()]
-        tc.backward(loss)
-        assert same_bits(k1.grad, 2 * once[0]) and same_bits(k2.grad, 2 * once[1])
-        assert same_bits(loss.grad, np.float64(2.0))
+        once = [t.grad.copy() for t in (k1, k2, loss)]
+        with pytest.raises(RuntimeError, match="consumed"):
+            tc.backward(loss)
+        assert all(same_bits(t.grad, g) for t, g in zip((k1, k2, loss), once))
+
+    def test_a_root_sharing_a_consumed_record_raises_before_any_gradient_moves(self):
+        w = tc.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        v = tc.Tensor([0.5, 0.5, 0.5], requires_grad=True)
+        h = tc.scale(w, 3.0)
+        tc.backward(tc.total(h))
+        once = w.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed scale record"):
+            tc.backward(tc.add(tc.total(tc.mul(v, v)), tc.total(h)))
+        assert same_bits(w.grad, once) and v.grad is None
 
 
 class TestGradientSuiteAllOps:

@@ -336,14 +336,17 @@ class TestTrainStep:
         wide = [shape for shape in inputs if shape[1] == 300]
         assert wide == [(1, 300, NUM_CLASSES, 1)]
 
-    def test_a_32x32_step_allocates_under_1_95_mb_at_its_peak(self, bundle):
+    def test_a_32x32_step_allocates_under_1_2_mb_at_its_peak(self, bundle):
         # tracemalloc peak of one step at 32x32 with alpha=1, numpy 2.4: 2.23 MB
         # when ReLU kept a mask and cross-entropy, mixing, SGD and the EMA
         # made a new array for each term; 2.13 MB with them writing in place;
         # 2.12 MB when op records kept their input tensors and the step its
         # decoded float64 images; 1.67 MB with records keeping their
         # producers and the step dropping its images, batch and forward
-        # outputs early
+        # outputs early; 1.04 MB with backward freeing each record's arrays
+        # after their last read, a ReLU keeping a bool mask, conv2d's input
+        # gradient built one sample at a time, and the step dropping its
+        # float64 batch after the forward and its logits before the prior map
         trainer = tr.Trainer(small_config(), bundle)
         for i in range(bundle.n_source):
             bundle.source(i)
@@ -358,7 +361,7 @@ class TestTrainStep:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 1.95e6, peaks
+        assert max(peaks) < 1.2e6, peaks
 
     def test_seg_loss_decreases_with_training(self, bundle):
         for seed in range(5):
@@ -974,11 +977,13 @@ class TestSupervisedControl:
         with pytest.raises(NumericError, match="non-finite loss at step 0"):
             tr.train_supervised([bundle.source(0)], steps=2, seed=2)
 
-    def test_three_64x64_steps_allocate_under_3_6_mb_at_their_peak(self):
+    def test_three_64x64_steps_allocate_under_2_8_mb_at_their_peak(self):
         # tracemalloc peak of train_supervised over 3 steps at 64x64, numpy
         # 2.4: 4.04 MB when each step held its forward outputs, and through
         # them its whole graph, into the next step's forward; 3.17 MB when
-        # only the loss is held, and only through descend
+        # only the loss is held, and only through descend; 2.38 MB with
+        # backward freeing each record's arrays after their last read and a
+        # ReLU keeping a bool mask
         spec, _ = dg.preset_specs("gap-default", seed=21)
         items = [dg.generate_scene(spec, 64, 64, dg.scene_rng(spec, i)) for i in range(2)]
         tr.train_supervised(items, steps=1, seed=0)
@@ -990,7 +995,7 @@ class TestSupervisedControl:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 3.6e6, peaks
+        assert max(peaks) < 2.8e6, peaks
 
     def test_identical_domains_close_transfer_gap(self, tmp_path):
         # with no domain gap, training on source labels vs (hidden) target
